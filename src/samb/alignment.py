@@ -1,5 +1,5 @@
-"""Adversarial feature alignment: gradient reversal, domain discriminator,
-and the combined classification + domain objective."""
+"""Adversarial feature alignment: gradient reversal, the domain
+discriminator and its loss."""
 
 from __future__ import annotations
 
@@ -35,8 +35,8 @@ class GrlConfig:
 class Discriminator:
     """2-layer MLP with GELU hidden and sigmoid output in (0, 1)."""
 
-    def __init__(self, feat_dim: int, rng: np.random.Generator, hidden: int = 0):
-        hidden = hidden or 4 * feat_dim
+    def __init__(self, feat_dim: int, rng: np.random.Generator):
+        hidden = 4 * feat_dim
         self.w1 = Tensor(trunc_normal(rng, (feat_dim, hidden)), requires_grad=True)
         self.b1 = Tensor(np.zeros(hidden), requires_grad=True)
         self.w2 = Tensor(trunc_normal(rng, (hidden, 1)), requires_grad=True)
@@ -71,16 +71,3 @@ def domain_loss(feat_s: Tensor, feat_t: Tensor, disc: Discriminator) -> Tensor:
     loss_s = T.mean_all(T.log(T.clamp_min(p_s, _LOG_FLOOR)))
     loss_t = T.mean_all(T.log(T.clamp_min(Tensor(1.0) - p_t, _LOG_FLOOR)))
     return -loss_s - loss_t
-
-
-def ada_objective(logits_s: Tensor, labels_s: np.ndarray, feat_s: Tensor,
-                  feat_t: Tensor, disc: Discriminator, lam: float):
-    """Classification loss plus the domain loss routed through the gradient
-    reversal layer, so one backward pass trains the backbone, the classifier
-    head, and the discriminator together.
-
-    Returns (total, l_cls, l_d).
-    """
-    l_cls = T.cross_entropy(logits_s, labels_s)
-    l_d = domain_loss(grl(feat_s, lam), grl(feat_t, lam), disc)
-    return l_cls + l_d, l_cls, l_d

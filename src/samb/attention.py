@@ -234,11 +234,9 @@ class AttentionWeights:
 
 def masked_attention(tokens: Tensor, weights: AttentionWeights, n_heads: int,
                      mask: Optional[np.ndarray]) -> Tensor:
-    """Multi-head attention over [..., T, d] tokens with one shared additive
+    """Multi-head attention over [B, T, d] tokens with one shared additive
     score mask per sequence (the same mask for every head)."""
-    squeeze = tokens.ndim == 2
-    x = T.reshape(tokens, (1,) + tokens.shape) if squeeze else tokens
-    b, t, d = x.shape
+    b, t, d = tokens.shape
     if d % n_heads != 0:
         raise ConfigError(f"embed dim {d} not divisible by {n_heads} heads")
     dh = d // n_heads
@@ -246,9 +244,9 @@ def masked_attention(tokens: Tensor, weights: AttentionWeights, n_heads: int,
     def split_heads(y: Tensor) -> Tensor:
         return T.transpose(T.reshape(y, (b, t, n_heads, dh)), (0, 2, 1, 3))
 
-    q = split_heads(x @ weights.wq + weights.bq)
-    k = split_heads(x @ weights.wk + weights.bk)
-    v = split_heads(x @ weights.wv + weights.bv)
+    q = split_heads(tokens @ weights.wq + weights.bq)
+    k = split_heads(tokens @ weights.wk + weights.bk)
+    v = split_heads(tokens @ weights.wv + weights.bv)
     scores = (q @ T.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
     if mask is not None:
         mask = np.asarray(mask)
@@ -256,11 +254,8 @@ def masked_attention(tokens: Tensor, weights: AttentionWeights, n_heads: int,
             mask = mask[None, None, :, :]
         elif mask.ndim == 3:                     # per-sequence masks
             mask = mask[:, None, :, :]
-        assert not np.any(np.all(np.isneginf(mask), axis=-1)), \
-            "mask invariants violated: a fully masked attention row"
         scores = scores + Tensor(mask)
     probs = T.softmax(scores, axis=-1)
     out = probs @ v
     out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (b, t, d))
-    out = out @ weights.wo + weights.bo
-    return T.reshape(out, (t, d)) if squeeze else out
+    return out @ weights.wo + weights.bo

@@ -254,7 +254,7 @@ def cmd_export_attn(args) -> int:
         w = csv.writer(f)
         w.writerow(["sample_id", "layer", "token_index", "row", "col", "group"])
         for batch in batch_iter(data, 16, seed=0, shuffle=False):
-            out = model.forward(batch.images.data, train=False)
+            out = model.forward(batch.images, train=False)
             for b, sid in enumerate(batch.sample_ids):
                 lines = []
                 for layer, assignment in enumerate(out.assignments):

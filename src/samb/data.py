@@ -17,11 +17,11 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .tensor import Tensor
 
 UNLABELED = 0xFFFFFFFF
 _MAGIC = b"SDSH"
 _VERSION = 1
+_HEADER_BYTES = 28
 
 GLYPHS = ("bar", "disc", "cross", "ring")
 
@@ -64,13 +64,14 @@ class Dataset:
 
     def save(self, path):
         n, c, h, w = self.images.shape
+        records = np.empty(n, dtype=_record_dtype(c, h, w))
+        records["label"] = (UNLABELED if self.labels is None else
+                            np.where(self.labels < 0, UNLABELED, self.labels))
+        records["pixels"] = self.images
         with open(path, "wb") as f:
             f.write(_MAGIC)
             f.write(struct.pack("<IIIIII", _VERSION, n, c, h, w, self.num_classes))
-            for i in range(n):
-                label = UNLABELED if self.labels is None else int(self.labels[i])
-                f.write(struct.pack("<I", label))
-                f.write(self.images[i].astype("<f4").tobytes())
+            f.write(records.tobytes())
 
     @staticmethod
     def load(path, domain: str = "source") -> "Dataset":
@@ -78,35 +79,48 @@ class Dataset:
             blob = f.read()
         if blob[:4] != _MAGIC:
             raise FormatError("bad dataset magic", 0)
-        if len(blob) < 28:
+        if len(blob) < _HEADER_BYTES:
             raise FormatError("truncated dataset header", len(blob))
         version, n, c, h, w, ncls = struct.unpack_from("<IIIIII", blob, 4)
         if version != _VERSION:
             raise FormatError(f"unsupported dataset version {version}", 4)
+        # check the header against the file length before allocating anything
         sample_bytes = 4 + 4 * c * h * w
-        images = np.empty((n, c, h, w), dtype=np.float32)
-        labels = np.empty(n, dtype=np.int64)
-        off = 28
-        any_labeled = False
-        for i in range(n):
-            if off + sample_bytes > len(blob):
-                raise FormatError(f"truncated sample {i}", off)
-            (raw_label,) = struct.unpack_from("<I", blob, off)
-            labels[i] = -1 if raw_label == UNLABELED else raw_label
-            any_labeled = any_labeled or raw_label != UNLABELED
-            images[i] = np.frombuffer(blob, dtype="<f4", count=c * h * w,
-                                      offset=off + 4).reshape(c, h, w)
-            off += sample_bytes
-        if off != len(blob):
-            raise FormatError("trailing bytes after last sample", off)
-        return Dataset(images=images, labels=labels if any_labeled else None,
+        complete = (len(blob) - _HEADER_BYTES) // sample_bytes
+        if complete < n:
+            raise FormatError(f"truncated sample {complete}",
+                              _HEADER_BYTES + complete * sample_bytes)
+        end = _HEADER_BYTES + n * sample_bytes
+        if end != len(blob):
+            raise FormatError("trailing bytes after last sample", end)
+        try:
+            record = _record_dtype(c, h, w)
+        except ValueError:
+            raise FormatError(f"image shape {c}x{h}x{w} is too large", 12) from None
+        records = np.frombuffer(blob, dtype=record, count=n, offset=_HEADER_BYTES)
+        raw_labels = records["label"]
+        unlabeled = raw_labels == UNLABELED
+        bad = np.flatnonzero(~unlabeled & (raw_labels >= ncls))
+        if bad.size:
+            i = int(bad[0])
+            raise FormatError(f"sample {i} has label {int(raw_labels[i])} "
+                              f"outside [0, {ncls})",
+                              _HEADER_BYTES + i * sample_bytes)
+        labels = np.where(unlabeled, -1, raw_labels.astype(np.int64))
+        return Dataset(images=records["pixels"].astype(np.float32),
+                       labels=None if unlabeled.all() else labels,
                        domain=domain, sample_ids=np.arange(n, dtype=np.int64),
                        num_classes=ncls)
 
 
+def _record_dtype(c: int, h: int, w: int) -> np.dtype:
+    """One SDSH sample: a <u4 label followed by <f4[C, H, W] pixels."""
+    return np.dtype([("label", "<u4"), ("pixels", "<f4", (c, h, w))])
+
+
 @dataclass
 class DomainBatch:
-    images: Tensor                  # [B, C, H, W] f64
+    images: np.ndarray              # [B, C, H, W] f64
     labels: Optional[np.ndarray]
     domain: str
     sample_ids: np.ndarray
@@ -221,6 +235,6 @@ def batch_iter(dataset: Dataset, batch_size: int, seed: int,
     for start in range(0, n, batch_size):
         idx = order[start:start + batch_size]
         labels = None if dataset.labels is None else dataset.labels[idx]
-        yield DomainBatch(images=Tensor(dataset.images[idx].astype(np.float64)),
+        yield DomainBatch(images=dataset.images[idx].astype(np.float64),
                           labels=labels, domain=dataset.domain,
                           sample_ids=dataset.sample_ids[idx])

@@ -15,20 +15,15 @@ from .errors import NumericError
 _EPS = 1e-12
 
 
-def _distances(feats: np.ndarray, centers: np.ndarray, metric: str) -> np.ndarray:
-    """Pairwise distances [T, K]."""
-    if metric == "cosine":
-        fn = np.linalg.norm(feats, axis=1)
-        cn = np.linalg.norm(centers, axis=1)
-        if np.any(fn < _EPS):
-            raise NumericError("cosine distance undefined for zero-norm feature")
-        if np.any(cn < _EPS):
-            raise NumericError("cosine distance undefined for zero-norm center")
-        return 1.0 - (feats @ centers.T) / np.outer(fn, cn)
-    if metric == "euclidean":
-        d = feats[:, None, :] - centers[None, :, :]
-        return np.sqrt((d * d).sum(axis=2))
-    raise ValueError(f"unknown metric {metric!r}")
+def _distances(feats: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Pairwise cosine distances [T, K]."""
+    fn = np.linalg.norm(feats, axis=1)
+    cn = np.linalg.norm(centers, axis=1)
+    if np.any(fn < _EPS):
+        raise NumericError("cosine distance undefined for zero-norm feature")
+    if np.any(cn < _EPS):
+        raise NumericError("cosine distance undefined for zero-norm center")
+    return 1.0 - (feats @ centers.T) / np.outer(fn, cn)
 
 
 def weighted_centers(feats: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -50,18 +45,17 @@ def weighted_centers(feats: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return centers
 
 
-def assign_labels(feats: np.ndarray, centers: np.ndarray,
-                  metric: str = "cosine") -> np.ndarray:
+def assign_labels(feats: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Nearest-center label per sample; ties break to the lower index."""
     if not np.all(np.isfinite(centers)):
         raise NumericError("assign_labels: non-finite cluster center")
     return np.argmin(_distances(np.asarray(feats, dtype=np.float64),
-                                np.asarray(centers, dtype=np.float64), metric),
+                                np.asarray(centers, dtype=np.float64)),
                      axis=1).astype(np.int64)
 
 
 def refine(feats: np.ndarray, labels: np.ndarray, num_classes: int,
-           prev_centers: np.ndarray, metric: str = "cosine"):
+           prev_centers: np.ndarray):
     """One hard-mean recentering plus re-assignment.
 
     Empty classes keep their previous center.  Returns (centers, labels).
@@ -72,7 +66,7 @@ def refine(feats: np.ndarray, labels: np.ndarray, num_classes: int,
         mask = labels == k
         if mask.any():
             centers[k] = feats[mask].mean(axis=0)
-    new_labels = assign_labels(feats, centers, metric)
+    new_labels = assign_labels(feats, centers)
     return centers, new_labels
 
 
@@ -96,13 +90,13 @@ class PseudoLabelTable:
                             f"{self.max_probs[i]:.12g}"])
 
 
-def build_table(feats: np.ndarray, probs: np.ndarray, sample_ids: np.ndarray,
-                metric: str = "cosine") -> PseudoLabelTable:
+def build_table(feats: np.ndarray, probs: np.ndarray,
+                sample_ids: np.ndarray) -> PseudoLabelTable:
     """Full pipeline: weighted centers -> labels -> one refinement round."""
     centers = weighted_centers(feats, probs)
-    y0 = assign_labels(feats, centers, metric)
-    centers_star, y_star = refine(feats, y0, probs.shape[1], centers, metric)
-    dist = _distances(feats, centers_star, metric)[np.arange(len(y_star)), y_star]
+    y0 = assign_labels(feats, centers)
+    centers_star, y_star = refine(feats, y0, probs.shape[1], centers)
+    dist = _distances(feats, centers_star)[np.arange(len(y_star)), y_star]
     return PseudoLabelTable(sample_ids=np.asarray(sample_ids),
                             initial_labels=y0, labels=y_star, distances=dist,
                             max_probs=probs.max(axis=1), centers=centers,

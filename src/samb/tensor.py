@@ -41,9 +41,6 @@ class GradientTape:
     def clear(self):
         self.nodes.clear()
 
-    def __len__(self):
-        return len(self.nodes)
-
 
 _TAPE = GradientTape()
 
@@ -83,9 +80,6 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"

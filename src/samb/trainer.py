@@ -110,7 +110,7 @@ def evaluate(model: VitSamb, dataset: Dataset, batch_size: int = 64) -> float:
         raise ConfigError("evaluate needs a labeled dataset")
     correct = 0
     for batch in batch_iter(dataset, batch_size, seed=0, shuffle=False):
-        out = model.forward(batch.images.data, train=False)
+        out = model.forward(batch.images, train=False)
         pred = np.argmax(out.logits.data, axis=1)
         correct += int((pred == batch.labels).sum())
     T.clear_tape()
@@ -170,7 +170,7 @@ class Trainer:
         feats, probs = [], []
         for batch in batch_iter(self.target_train, self.cfg.batch_size,
                                 seed=0, shuffle=False):
-            out = self.model.forward(batch.images.data, train=False)
+            out = self.model.forward(batch.images, train=False)
             feats.append(out.feature.data)
             x = out.logits.data
             e = np.exp(x - x.max(axis=1, keepdims=True))
@@ -195,8 +195,8 @@ class Trainer:
         if kind in ("pst", "joint") and (first or self.pseudo_labels is None):
             self.refresh_pseudo_labels()
 
-        out_s = self.model.forward(sb.images.data, train=True, rng=self.gumbel_rng)
-        out_t = self.model.forward(tb.images.data, train=True, rng=self.gumbel_rng)
+        out_s = self.model.forward(sb.images, train=True, rng=self.gumbel_rng)
+        out_t = self.model.forward(tb.images, train=True, rng=self.gumbel_rng)
         total = T.cross_entropy(out_s.logits, sb.labels)
         l_cls = total.item()
         if kind in ("pst", "joint"):

@@ -5,7 +5,8 @@ import samb.tensor as T
 from samb.attention import (AttentionWeights, GumbelConfig, MessagePassingMode,
                             TokenLayout, contiguous_regions, gumbel_assign,
                             handcrafted_mask, masked_attention, mode_masks)
-from samb.errors import ConfigError, ContractError, NumericError
+from samb.errors import (ConfigError, ContractError, DegenerateMaskError,
+                         NumericError)
 from samb.tensor import Tensor
 
 from helpers import dense_attention_oracle
@@ -171,6 +172,11 @@ class TestMaskedAttention:
         scores = rng.standard_normal((6, 6)) + mask
         probs = T.softmax(Tensor(scores), axis=-1).data
         assert np.abs(probs.sum(axis=-1) - 1.0).max() < 1e-12
+        # a fully masked row cannot be normalized
+        mask[2] = NEG
+        x = Tensor(rng.standard_normal((1, 6, 8)))
+        with pytest.raises(DegenerateMaskError):
+            masked_attention(x, random_weights(rng, 8), 2, mask)
 
     def test_gradient_through_masked_attention(self):
         from helpers import check_grad

@@ -1,4 +1,6 @@
 import hashlib
+import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -146,6 +148,15 @@ class TestTrain:
 
     def test_missing_data_dir_exit_4(self, tmp_path):
         cfg = write_train_cfg(tmp_path / "t.cfg", tmp_path / "nowhere")
+        assert main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 4
+
+    def test_hostile_dataset_header_exit_4(self, data_dir, tmp_path):
+        hostile = tmp_path / "data"
+        shutil.copytree(data_dir, hostile)
+        (hostile / "source_train.sdsh").write_bytes(
+            b"SDSH" + struct.pack("<IIIIII", 1, 2 ** 31, 3, 4096, 4096, 4))
+        cfg = write_train_cfg(tmp_path / "t.cfg", hostile)
         assert main(["train", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 4
 

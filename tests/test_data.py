@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,41 @@ class TestSdshFormat:
         with pytest.raises(FormatError, match="trailing"):
             Dataset.load(path)
 
+    @pytest.mark.parametrize("n, side, match, offset", [
+        (2 ** 31, 4096, "truncated sample 0", 28),   # ~400 PB of pixels
+        (0, 2 ** 32 - 1, "too large", 12),            # no numpy shape fits
+    ])
+    def test_hostile_header_fails_before_allocating(self, tmp_path, n, side,
+                                                   match, offset):
+        path = tmp_path / "h.sdsh"
+        path.write_bytes(b"SDSH" + struct.pack("<IIIIII", 1, n, 3, side, side, 4))
+        with pytest.raises(FormatError, match=match) as ei:
+            Dataset.load(path)
+        assert ei.value.offset == offset
+
+    def test_label_out_of_range(self, tmp_path):
+        ds = generate(tiny_spec(train_per_class=2, num_classes=2))["source_train"]
+        path = tmp_path / "l.sdsh"
+        ds.save(path)
+        blob = bytearray(path.read_bytes())
+        sample_bytes = 4 + 4 * 3 * 16 * 16
+        offset = 28 + 2 * sample_bytes
+        blob[offset:offset + 4] = struct.pack("<I", 2)     # num_classes is 2
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="sample 2") as ei:
+            Dataset.load(path)
+        assert ei.value.offset == offset
+
+    def test_partially_labeled_round_trip(self, tmp_path):
+        ds = generate(tiny_spec())["source_train"]
+        ds.labels[[1, 4, 7]] = -1
+        first, second = tmp_path / "a.sdsh", tmp_path / "b.sdsh"
+        ds.save(first)
+        loaded = Dataset.load(first)
+        assert np.array_equal(loaded.labels, ds.labels)
+        loaded.save(second)
+        assert second.read_bytes() == first.read_bytes()
+
 
 class TestBatchIter:
     def test_epoch_covers_every_sample_once(self):
@@ -159,7 +196,7 @@ class TestBatchIter:
     def test_images_promoted_to_f64(self):
         ds = generate(tiny_spec())["source_train"]
         batch = next(batch_iter(ds, 4, seed=0))
-        assert batch.images.data.dtype == np.float64
+        assert batch.images.dtype == np.float64
 
     def test_unlabeled_batches(self):
         ds = generate(tiny_spec())["target_train"].without_labels()

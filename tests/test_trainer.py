@@ -145,8 +145,8 @@ class TestStepOracle:
         sb, _, _ = next(t2._src_iter)
         tb, _, _ = next(t2._tgt_iter)
         lam = 0.0  # warm-up schedule starts at zero
-        out_s = t2.model.forward(sb.images.data, train=True, rng=t2.gumbel_rng)
-        out_t = t2.model.forward(tb.images.data, train=True, rng=t2.gumbel_rng)
+        out_s = t2.model.forward(sb.images, train=True, rng=t2.gumbel_rng)
+        out_t = t2.model.forward(tb.images, train=True, rng=t2.gumbel_rng)
         total = T.cross_entropy(out_s.logits, sb.labels) + domain_loss(
             grl(out_s.feature, lam), grl(out_t.feature, lam), t2.disc)
         T.backward(total)
@@ -168,8 +168,8 @@ class TestStepOracle:
                           iterations_2=0)
         sb, _, _ = next(t2._src_iter)
         tb, _, _ = next(t2._tgt_iter)
-        out_s = t2.model.forward(sb.images.data, train=True, rng=t2.gumbel_rng)
-        out_t = t2.model.forward(tb.images.data, train=True, rng=t2.gumbel_rng)
+        out_s = t2.model.forward(sb.images, train=True, rng=t2.gumbel_rng)
+        out_t = t2.model.forward(tb.images, train=True, rng=t2.gumbel_rng)
         total = (T.cross_entropy(out_s.logits, sb.labels)
                  + T.cross_entropy(out_t.logits, truth[tb.sample_ids]))
         T.backward(total)
@@ -216,7 +216,7 @@ class TestEvaluate:
         acc = evaluate(t.model, ds, batch_size=5)
         correct = 0
         for batch in batch_iter(ds, 5, seed=0, shuffle=False):
-            out = t.model.forward(batch.images.data, train=False)
+            out = t.model.forward(batch.images, train=False)
             correct += int((np.argmax(out.logits.data, axis=1)
                             == batch.labels).sum())
         T.clear_tape()
