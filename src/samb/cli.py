@@ -13,9 +13,11 @@ import csv
 import hashlib
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
+from . import tensor as T
 from .alignment import GrlConfig
 from .attention import GumbelConfig, MessagePassingMode
 from .data import Dataset, SyntheticSpec, batch_iter, generate
@@ -90,18 +92,10 @@ class _KeyReader:
 
 
 def spec_from_config(raw: dict[str, str]) -> SyntheticSpec:
+    """Each SyntheticSpec field is a key, parsed as its default's type."""
     r = _KeyReader(raw)
-    spec = SyntheticSpec(
-        num_classes=r.int("num_classes", 4),
-        train_per_class=r.int("train_per_class", 50),
-        eval_per_class=r.int("eval_per_class", 25),
-        image_size=r.int("image_size", 16),
-        brightness_delta=r.float("brightness_delta", 0.3),
-        texture_id=r.int("texture_id", 1),
-        noise_sigma=r.float("noise_sigma", 0.1),
-        hue_rotation=r.float("hue_rotation", 0.5),
-        seed=r.int("seed", 0),
-    )
+    spec = SyntheticSpec(**{f.name: getattr(r, type(f.default).__name__)(f.name, f.default)
+                            for f in fields(SyntheticSpec)})
     r.finish()
     return spec
 
@@ -121,36 +115,36 @@ def train_config_from(raw: dict[str, str], source_train: Dataset) -> tuple[Train
     if not data_dir:
         raise ConfigError("config must set data_dir")
     h = source_train.images.shape[2]
-    seed = r.int("seed", 0)
+    seed = r.int("seed", TrainConfig.seed)
     model = ModelConfig(
         image_size=h,
-        patch_size=r.int("patch_size", 4),
+        patch_size=r.int("patch_size", ModelConfig.patch_size),
         in_channels=source_train.images.shape[1],
-        embed_dim=r.int("embed_dim", 32),
-        depth=r.int("depth", 2),
-        heads=r.int("heads", 4),
-        mlp_ratio=r.int("mlp_ratio", 4),
+        embed_dim=r.int("embed_dim", ModelConfig.embed_dim),
+        depth=r.int("depth", ModelConfig.depth),
+        heads=r.int("heads", ModelConfig.heads),
+        mlp_ratio=r.int("mlp_ratio", ModelConfig.mlp_ratio),
         num_classes=source_train.num_classes,
-        num_group_tokens=r.int("num_group_tokens", 4),
-        mode=_parse_enum(MessagePassingMode, r.str("mode", "samb-d"), "mode"),
-        gumbel=GumbelConfig(temperature=r.float("temperature", 1.0),
-                            noise_enabled=r.bool("gumbel_noise", True),
-                            rng_seed=seed),
+        num_group_tokens=r.int("num_group_tokens", ModelConfig.num_group_tokens),
+        mode=_parse_enum(MessagePassingMode, r.str("mode", ModelConfig.mode.value), "mode"),
+        gumbel=GumbelConfig(
+            noise_enabled=r.bool("gumbel_noise", GumbelConfig.noise_enabled),
+            rng_seed=seed),
     )
     cfg = TrainConfig(
         model=model,
-        scheme=_parse_enum(Scheme, r.str("scheme", "ada-then-joint"), "scheme"),
-        iterations_1=r.int("iterations_1", 200),
-        iterations_2=r.int("iterations_2", 200),
-        lr=r.float("lr", 1e-2),
-        momentum=r.float("momentum", 0.9),
-        weight_decay=r.float("weight_decay", 1e-4),
-        batch_size=r.int("batch_size", 16),
+        scheme=_parse_enum(Scheme, r.str("scheme", TrainConfig.scheme.value), "scheme"),
+        iterations_1=r.int("iterations_1", TrainConfig.iterations_1),
+        iterations_2=r.int("iterations_2", TrainConfig.iterations_2),
+        lr=r.float("lr", TrainConfig.lr),
+        momentum=r.float("momentum", TrainConfig.momentum),
+        weight_decay=r.float("weight_decay", TrainConfig.weight_decay),
+        batch_size=r.int("batch_size", TrainConfig.batch_size),
         seed=seed,
-        grl=GrlConfig(lambda_max=r.float("lambda_max", 1.0),
-                      gamma=r.float("gamma", 10.0)),
-        eval_every=r.int("eval_every", 0),
-        wallclock=r.bool("wallclock", False),
+        grl=GrlConfig(lambda_max=r.float("lambda_max", GrlConfig.lambda_max),
+                      gamma=r.float("gamma", GrlConfig.gamma)),
+        eval_every=r.int("eval_every", TrainConfig.eval_every),
+        wallclock=r.bool("wallclock", TrainConfig.wallclock),
     )
     r.finish()
     return cfg, data_dir
@@ -269,8 +263,7 @@ def cmd_export_attn(args) -> int:
                 with open(os.path.join(args.out, f"sample_{int(sid):05d}.txt"),
                           "w") as g:
                     g.write("\n".join(lines) + "\n")
-    from . import tensor as T
-    T.clear_tape()
+            T.clear_tape()
     return 0
 
 

@@ -32,7 +32,6 @@ class SyntheticSpec:
     train_per_class: int = 50
     eval_per_class: int = 25
     image_size: int = 16
-    channels: int = 3
     brightness_delta: float = 0.3
     texture_id: int = 3
     noise_sigma: float = 0.05
@@ -42,8 +41,6 @@ class SyntheticSpec:
     def __post_init__(self):
         if not 1 <= self.num_classes <= len(GLYPHS):
             raise ConfigError(f"num_classes must be in [1, {len(GLYPHS)}]")
-        if self.channels != 3:
-            raise ConfigError("only 3-channel images are supported")
 
 
 @dataclass

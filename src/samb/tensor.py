@@ -3,7 +3,10 @@
 A define-by-run gradient tape: every differentiable operation appends one
 node to the ambient tape, in execution order, so the node list is
 topologically sorted by construction.  ``backward`` walks it once in
-reverse.  The tape is cleared at the start of each training step.
+reverse.  The tape is the graph's only owner (a tensor holds no reference
+to the node that produced it), so ``clear_tape`` frees the graph at once.
+Training clears it at the start of each step, inference paths after each
+batch.
 
 Everything is float64 and row-major contiguous.  -inf is a legal tensor
 value; it flows through ``softmax`` as exact zero probability.
@@ -54,14 +57,13 @@ def clear_tape():
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "node")
+    __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         self.data = np.ascontiguousarray(arr)
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
-        self.node: Optional[TapeNode] = None
 
     @property
     def shape(self):
@@ -112,12 +114,10 @@ def _wrap(x) -> Tensor:
 
 def _record(output: Tensor, inputs: Sequence[Tensor],
             backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]):
-    """Attach a tape node to ``output`` if any input needs gradients."""
+    """Append a tape node producing ``output`` if any input needs gradients."""
     if any(t.requires_grad for t in inputs):
         output.requires_grad = True
-        node = TapeNode(tuple(inputs), output, backward_fn)
-        output.node = node
-        _TAPE.nodes.append(node)
+        _TAPE.nodes.append(TapeNode(tuple(inputs), output, backward_fn))
     return output
 
 
@@ -324,7 +324,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     if np.any(np.isneginf(m)):
         raise DegenerateMaskError("softmax: a row is fully masked (all -inf)")
     shifted = x - m
-    e = np.where(np.isneginf(x), 0.0, np.exp(shifted))
+    e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
     out = Tensor(y)
 
@@ -404,12 +404,14 @@ def custom_op(data: np.ndarray, inputs: Sequence[Tensor], backward_fn) -> Tensor
 def backward(loss: Tensor):
     """Populate ``grad`` on every requires_grad leaf reachable from ``loss``.
 
-    Repeated calls without ``zero_grad`` accumulate.
+    A leaf is any tensor no node on the current tape produced, including one
+    whose node was cleared.  Repeated calls without ``zero_grad`` accumulate.
     """
     if loss.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    if loss.node is None:
+    produced = {id(n.output) for n in _TAPE.nodes}
+    if id(loss) not in produced:
         if loss.requires_grad:
             loss.grad = (loss.grad if loss.grad is not None else 0.0) + np.ones_like(loss.data)
         return
@@ -421,7 +423,7 @@ def backward(loss: Tensor):
         for inp, gi in zip(node.inputs, input_grads):
             if gi is None or not inp.requires_grad:
                 continue
-            if inp.node is None:
+            if id(inp) not in produced:
                 inp.grad = gi if inp.grad is None else inp.grad + gi
             else:
                 key = id(inp)

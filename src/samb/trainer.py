@@ -113,7 +113,7 @@ def evaluate(model: VitSamb, dataset: Dataset, batch_size: int = 64) -> float:
         out = model.forward(batch.images, train=False)
         pred = np.argmax(out.logits.data, axis=1)
         correct += int((pred == batch.labels).sum())
-    T.clear_tape()
+        T.clear_tape()
     return correct / len(dataset)
 
 
@@ -132,6 +132,9 @@ class Trainer:
     def __init__(self, cfg: TrainConfig, source_train: Dataset,
                  target_train: Dataset, source_eval: Optional[Dataset] = None,
                  target_eval: Optional[Dataset] = None):
+        for name, ds in (("source", source_train), ("target", target_train)):
+            if len(ds) == 0:
+                raise ConfigError(f"the {name} training split is empty")
         self.cfg = cfg
         self.source_train = source_train
         # the trainer's target path never sees labels
@@ -175,7 +178,7 @@ class Trainer:
             x = out.logits.data
             e = np.exp(x - x.max(axis=1, keepdims=True))
             probs.append(e / e.sum(axis=1, keepdims=True))
-        T.clear_tape()
+            T.clear_tape()
         feats = np.concatenate(feats)
         probs = np.concatenate(probs)
         table = build_table(feats, probs, self.target_train.sample_ids)

@@ -7,7 +7,7 @@ import pytest
 
 import samb.tensor as T
 from samb.cli import main, parse_config
-from samb.data import Dataset
+from samb.data import Dataset, SyntheticSpec, generate
 from samb.errors import ConfigError
 from samb.model import ModelConfig, VitSamb
 from samb.attention import GumbelConfig, MessagePassingMode
@@ -110,6 +110,15 @@ class TestGenData:
         assert main(["gen-data", "--spec", str(spec),
                      "--out", str(tmp_path / "o")]) == 2
 
+    def test_empty_spec_uses_synthetic_spec_defaults(self, tmp_path):
+        spec = tmp_path / "empty.cfg"
+        spec.write_text("")
+        out = tmp_path / "o"
+        assert main(["gen-data", "--spec", str(spec), "--out", str(out)]) == 0
+        for name, ds in generate(SyntheticSpec()).items():
+            ds.save(tmp_path / name)
+            assert (out / f"{name}.sdsh").read_bytes() == (tmp_path / name).read_bytes()
+
 
 class TestTrain:
     def test_outputs_and_manifest_hash(self, data_dir, tmp_path):
@@ -159,6 +168,23 @@ class TestTrain:
         cfg = write_train_cfg(tmp_path / "t.cfg", hostile)
         assert main(["train", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 4
+
+    def test_empty_training_split_exit_2(self, data_dir, tmp_path, capsys):
+        empty = tmp_path / "data"
+        shutil.copytree(data_dir, empty)
+        ds = Dataset.load(empty / "target_train.sdsh", "target")
+        Dataset(images=ds.images[:0], labels=None, domain="target",
+                sample_ids=ds.sample_ids[:0],
+                num_classes=ds.num_classes).save(empty / "target_train.sdsh")
+        cfg = write_train_cfg(tmp_path / "t.cfg", empty)
+        assert main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "target training split is empty" in capsys.readouterr().err
+
+    def test_temperature_key_rejected(self, data_dir, tmp_path):
+        cfg = write_train_cfg(tmp_path / "t.cfg", data_dir, temperature=0.5)
+        assert main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
 
     def test_bad_scheme_exit_2(self, data_dir, tmp_path):
         cfg = write_train_cfg(tmp_path / "t.cfg", data_dir)

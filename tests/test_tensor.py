@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -209,6 +211,36 @@ class TestBackward:
         y2 = T.tanh(w2)
         T.backward(T.sum_all(y1 * y2))
         assert np.abs(shared - w2.grad).max() < 1e-14
+
+
+class TestGraphLifetime:
+    @pytest.fixture
+    def no_collector(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        yield
+        if enabled:
+            gc.enable()
+
+    def test_clear_tape_frees_the_graph_without_the_collector(self, no_collector):
+        w = Tensor(np.random.default_rng(12).standard_normal((3, 4)),
+                   requires_grad=True)
+        h = T.tanh(w * 2.0)
+        ref = weakref.ref(h.data)
+        loss = T.sum_all(h * h)
+        del h
+        T.backward(loss)
+        assert ref() is not None
+        T.clear_tape()
+        assert ref() is None
+
+    def test_output_of_a_cleared_node_is_a_leaf(self):
+        w = Tensor(np.ones(3), requires_grad=True)
+        h = w * 2.0
+        T.clear_tape()
+        T.backward(T.sum_all(h * h))
+        assert np.array_equal(h.grad, 2.0 * h.data)
+        assert w.grad is None
 
 
 class TestSgd:

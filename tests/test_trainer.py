@@ -4,9 +4,9 @@ import pytest
 import samb.tensor as T
 from samb.alignment import domain_loss, grl
 from samb.attention import GumbelConfig, MessagePassingMode
-from samb.data import SyntheticSpec, batch_iter, generate
+from samb.data import Dataset, SyntheticSpec, batch_iter, generate
 from samb.errors import ConfigError
-from samb.model import ModelConfig
+from samb.model import ModelConfig, VitSamb
 from samb.trainer import MetricLog, MetricRecord, Scheme, TrainConfig, Trainer, evaluate
 
 
@@ -96,6 +96,15 @@ class TestRunMechanics:
         lines = (tmp_path / "metrics.csv").read_text().strip().split("\n")
         assert lines[0] == MetricLog.HEADER
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("split", ["source_train", "target_train"])
+    def test_empty_training_split_rejected(self, splits, split):
+        ds = splits[split]
+        empty = Dataset(images=ds.images[:0], labels=ds.labels[:0],
+                        domain=ds.domain, sample_ids=ds.sample_ids[:0],
+                        num_classes=ds.num_classes)
+        with pytest.raises(ConfigError, match="empty"):
+            make_trainer({**splits, split: empty})
 
     def test_bad_config(self):
         with pytest.raises(ConfigError):
@@ -221,6 +230,23 @@ class TestEvaluate:
                             == batch.labels).sum())
         T.clear_tape()
         assert acc == correct / len(ds)
+
+    def test_inference_paths_clear_the_tape_per_batch(self, splits, monkeypatch):
+        t = make_trainer(splits)
+        forward = VitSamb.forward
+        tape_at_forward = []
+
+        def recording_forward(model, *args, **kwargs):
+            tape_at_forward.append(len(T.tape().nodes))
+            return forward(model, *args, **kwargs)
+
+        monkeypatch.setattr(VitSamb, "forward", recording_forward)
+        evaluate(t.model, splits["source_eval"], batch_size=5)
+        assert tape_at_forward == [0, 0, 0]
+        tape_at_forward.clear()
+        t.refresh_pseudo_labels()
+        assert tape_at_forward == [0, 0, 0]
+        assert T.tape().nodes == []
 
     def test_unlabeled_dataset_rejected(self, splits):
         t = make_trainer(splits)
