@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError
+from .errors import ConfigError, ContractError
 from .model import trunc_normal
 from .tensor import Tensor
 
@@ -26,6 +26,12 @@ class GrlConfig:
     """DANN-style warm-up: lam(p) = lam_max * (2 / (1 + exp(-gamma p)) - 1)."""
     lambda_max: float = 1.0
     gamma: float = 10.0
+
+    def __post_init__(self):
+        for key in ("lambda_max", "gamma"):
+            value = getattr(self, key)
+            if not 0.0 <= value < np.inf:
+                raise ConfigError(f"{key} must be finite and >= 0, got {value}")
 
     def lambda_at(self, progress: float) -> float:
         p = min(max(progress, 0.0), 1.0)
@@ -54,8 +60,8 @@ class Discriminator:
             p.zero_grad()
 
     def forward(self, feat: Tensor) -> Tensor:
-        h = T.gelu(feat @ self.w1 + self.b1)
-        out = T.sigmoid(h @ self.w2 + self.b2)
+        h = T.gelu(T.linear(feat, self.w1, self.b1))
+        out = T.sigmoid(T.linear(h, self.w2, self.b2))
         return T.reshape(out, (feat.shape[0],))
 
 

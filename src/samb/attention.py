@@ -18,7 +18,8 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError, NumericError
+from .errors import (ConfigError, ContractError, DegenerateMaskError,
+                     DimensionError, NumericError)
 from .tensor import Tensor
 
 NEG_INF = -np.inf
@@ -239,23 +240,70 @@ def masked_attention(tokens: Tensor, weights: AttentionWeights, n_heads: int,
     b, t, d = tokens.shape
     if d % n_heads != 0:
         raise ConfigError(f"embed dim {d} not divisible by {n_heads} heads")
-    dh = d // n_heads
-
-    def split_heads(y: Tensor) -> Tensor:
-        return T.transpose(T.reshape(y, (b, t, n_heads, dh)), (0, 2, 1, 3))
-
-    q = split_heads(tokens @ weights.wq + weights.bq)
-    k = split_heads(tokens @ weights.wk + weights.bk)
-    v = split_heads(tokens @ weights.wv + weights.bv)
-    scores = (q @ T.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
+    q = T.linear(tokens, weights.wq, weights.bq)
+    k = T.linear(tokens, weights.wk, weights.bk)
+    v = T.linear(tokens, weights.wv, weights.bv)
     if mask is not None:
         mask = np.asarray(mask)
         if mask.ndim == 2:
             mask = mask[None, None, :, :]
         elif mask.ndim == 3:                     # per-sequence masks
             mask = mask[:, None, :, :]
-        scores = scores + Tensor(mask)
-    probs = T.softmax(scores, axis=-1)
-    out = probs @ v
-    out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (b, t, d))
-    return out @ weights.wo + weights.bo
+    out = _attend(q, k, v, n_heads, mask)
+    return T.linear(out, weights.wo, weights.bo)
+
+
+def _attend(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
+            mask: Optional[np.ndarray]) -> Tensor:
+    """softmax(q_h k_h^T / sqrt(dh) + mask) v_h per head, merged back to
+    [B, T, d], as one tape node.
+
+    The scores are scaled, masked and normalised in place in one [B, H, T, T]
+    buffer, which becomes the probabilities; the node keeps only those, the
+    contiguous head splits of q and v, and k^T.  The numpy operations, their
+    order and their operands' layouts are those of the primitive-op
+    composition, so forward and backward are bit-identical to it.  For the
+    same reason the scale is not folded into q: that rounds differently.
+    """
+    b, t, d = q.shape
+    dh = d // n_heads
+
+    def split(y: np.ndarray) -> np.ndarray:      # [B, T, d] -> [B, H, T, dh] view
+        return y.reshape(b, t, n_heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(y: np.ndarray) -> np.ndarray:      # [B, H, T, dh] -> [B, T, d]
+        return y.transpose(0, 2, 1, 3).reshape(b, t, d)
+
+    qh = np.ascontiguousarray(split(q.data))
+    kt = np.ascontiguousarray(split(k.data).transpose(0, 1, 3, 2))
+    vh = np.ascontiguousarray(split(v.data))
+    scale = float(1.0 / np.sqrt(dh))
+    y = T.counted_matmul(qh, kt)
+    y *= scale
+    if mask is not None:
+        try:
+            y += mask
+        except ValueError:
+            raise DimensionError(
+                f"attention: mask {mask.shape} does not broadcast to scores {y.shape}")
+    m = np.max(y, axis=-1, keepdims=True)
+    if np.any(np.isneginf(m)):
+        raise DegenerateMaskError("softmax: a row is fully masked (all -inf)")
+    y -= m
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    out = merge(T.counted_matmul(y, vh))
+
+    def backward(g):
+        g = split(g)
+        dp = np.matmul(g, np.swapaxes(vh, -1, -2))
+        dv = np.matmul(np.swapaxes(y, -1, -2), g)
+        dot = (dp * y).sum(axis=-1, keepdims=True)
+        dp -= dot                                # dp becomes the score gradient
+        dp *= y
+        dp *= scale
+        dq = np.matmul(dp, np.swapaxes(kt, -1, -2))
+        dkt = np.matmul(np.swapaxes(qh, -1, -2), dp)
+        return merge(dq), merge(dkt.transpose(0, 1, 3, 2)), merge(dv)
+
+    return T.custom_op(out, (q, k, v), backward)

@@ -104,8 +104,9 @@ class Dataset:
                               f"outside [0, {ncls})",
                               _HEADER_BYTES + i * sample_bytes)
         labels = np.where(unlabeled, -1, raw_labels.astype(np.int64))
+        # an empty split loads as labelled, so it is reported as empty
         return Dataset(images=records["pixels"].astype(np.float32),
-                       labels=None if unlabeled.all() else labels,
+                       labels=None if n and unlabeled.all() else labels,
                        domain=domain, sample_ids=np.arange(n, dtype=np.int64),
                        num_classes=ncls)
 

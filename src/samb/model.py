@@ -212,7 +212,7 @@ class VitSamb:
         n, m = cfg.num_group_tokens, cfg.num_patches
 
         patches = Tensor(self.patchify(np.asarray(images, dtype=np.float64)))
-        x = patches @ self.patch_w + self.patch_b + self.pos_embed
+        x = T.linear(patches, self.patch_w, self.patch_b) + self.pos_embed
         parts = []
         if self.cls_token is not None:
             parts.append(T.broadcast_to(T.reshape(self.cls_token, (1, 1, d)),
@@ -236,8 +236,8 @@ class VitSamb:
                 mask = static_mask
             x = x + masked_attention(h, blk["attn"], cfg.heads, mask)
             h = T.layer_norm(x, blk["ln2_g"], blk["ln2_b"])
-            h = T.gelu(h @ blk["mlp_w1"] + blk["mlp_b1"])
-            x = x + (h @ blk["mlp_w2"] + blk["mlp_b2"])
+            h = T.gelu(T.linear(h, blk["mlp_w1"], blk["mlp_b1"]))
+            x = x + T.linear(h, blk["mlp_w2"], blk["mlp_b2"])
         x = T.layer_norm(x, self.ln_f_g, self.ln_f_b)
 
         if cfg.mode.has_group_tokens:
@@ -249,7 +249,7 @@ class VitSamb:
         else:
             fused = T.reshape(T.narrow(x, 1, 0, 1), (b, d))  # class token
             weights = Tensor(np.ones((b, 1)))
-        logits = fused @ self.head_w + self.head_b
+        logits = T.linear(fused, self.head_w, self.head_b)
         return ForwardResult(logits=logits, feature=fused,
                              fusion_weights=weights, assignments=assignments)
 

@@ -179,19 +179,28 @@ def stop_flop_count() -> float:
     return _flop_counter[0]
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def counted_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.matmul`` of two arrays of rank >= 2, added to the FLOP count.
+
+    Records no tape node; every forward product of the package goes
+    through here, so the count covers ``matmul``, ``linear`` and fused ops.
+    """
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError(f"matmul requires rank >= 2, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul: inner dims disagree, {a.shape} x {b.shape}")
     try:
-        out_data = np.matmul(a.data, b.data)
+        out = np.matmul(a, b)
     except ValueError:
         raise DimensionError(f"matmul: batch dims do not broadcast, {a.shape} x {b.shape}")
     if _flop_counting[0]:
-        batch = int(np.prod(out_data.shape[:-2])) if out_data.ndim > 2 else 1
+        batch = int(np.prod(out.shape[:-2])) if out.ndim > 2 else 1
         _flop_counter[0] += 2.0 * batch * a.shape[-2] * a.shape[-1] * b.shape[-1]
-    out = Tensor(out_data)
+    return out
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    out = Tensor(counted_matmul(a.data, b.data))
 
     def backward(g):
         ga = _reduce_to(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
@@ -199,6 +208,29 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return _record(out, (a, b), backward)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` as one node, for [..., d_in] ``x``, [d_in, d_out] ``w``
+    and [d_out] ``b``.
+
+    Bit-identical to ``matmul`` followed by ``add``; the backward computes
+    no gradient for an input that does not require one.
+    """
+    if w.ndim != 2 or b.shape != (w.shape[1],):
+        raise DimensionError(f"linear: weight {w.shape} and bias {b.shape} do not match")
+    out_data = counted_matmul(x.data, w.data)
+    out_data += b.data
+    out = Tensor(out_data)
+
+    def backward(g):
+        gx = np.matmul(g, w.data.T) if x.requires_grad else None
+        gw = (_reduce_to(np.matmul(np.swapaxes(x.data, -1, -2), g), w.shape)
+              if w.requires_grad else None)
+        gb = _reduce_to(g, b.shape) if b.requires_grad else None
+        return gx, gw, gb
+
+    return _record(out, (x, w, b), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +310,8 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    y = np.where(a.data >= 0, 1.0 / (1.0 + np.exp(-np.abs(a.data))),
-                 np.exp(-np.abs(a.data)) / (1.0 + np.exp(-np.abs(a.data))))
+    e = np.exp(-np.abs(a.data))
+    y = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     out = Tensor(y)
     return _record(out, (a,), lambda g: (g * y * (1.0 - y),))
 
@@ -493,13 +525,17 @@ def load_checkpoint(path) -> dict[str, Tensor]:
     out: dict[str, Tensor] = {}
     off = 8
     while off < len(blob):
+        start = off
         if off + 4 > len(blob):
             raise FormatError("truncated record header", off)
         (nlen,) = struct.unpack_from("<I", blob, off)
         off += 4
         if off + nlen > len(blob):
             raise FormatError("truncated record name", off)
-        name = blob[off:off + nlen].decode("utf-8")
+        try:
+            name = blob[off:off + nlen].decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError("record name is not UTF-8", off) from None
         off += nlen
         if off + 4 > len(blob):
             raise FormatError("truncated record rank", off)
@@ -513,7 +549,11 @@ def load_checkpoint(path) -> dict[str, Tensor]:
         nbytes = 8 * count
         if off + nbytes > len(blob):
             raise FormatError("truncated record payload", off)
+        if name in out:
+            raise FormatError(f"duplicate record {name!r}", start)
         data = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(dims)
+        if not np.isfinite(data).all():
+            raise FormatError(f"record {name!r} holds a non-finite value", start)
         off += nbytes
         out[name] = Tensor(data.copy())
     return out

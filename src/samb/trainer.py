@@ -68,6 +68,12 @@ class TrainConfig:
             raise ConfigError("learning rate must be > 0")
         if self.batch_size < 1:
             raise ConfigError("batch size must be >= 1")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        if self.eval_every < 0:
+            raise ConfigError(f"eval_every must be >= 0, got {self.eval_every}")
 
 
 @dataclass
@@ -106,6 +112,8 @@ class MetricLog:
 
 def evaluate(model: VitSamb, dataset: Dataset, batch_size: int = 64) -> float:
     """Top-1 accuracy with Gumbel noise disabled."""
+    if len(dataset) == 0:
+        raise ConfigError(f"evaluate: the {dataset.domain} dataset is empty")
     if dataset.labels is None:
         raise ConfigError("evaluate needs a labeled dataset")
     correct = 0
@@ -132,9 +140,12 @@ class Trainer:
     def __init__(self, cfg: TrainConfig, source_train: Dataset,
                  target_train: Dataset, source_eval: Optional[Dataset] = None,
                  target_eval: Optional[Dataset] = None):
-        for name, ds in (("source", source_train), ("target", target_train)):
-            if len(ds) == 0:
-                raise ConfigError(f"the {name} training split is empty")
+        for name, ds in (("source training", source_train),
+                         ("target training", target_train),
+                         ("source evaluation", source_eval),
+                         ("target evaluation", target_eval)):
+            if ds is not None and len(ds) == 0:
+                raise ConfigError(f"the {name} split is empty")
         self.cfg = cfg
         self.source_train = source_train
         # the trainer's target path never sees labels

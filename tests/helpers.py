@@ -75,3 +75,29 @@ def dense_attention_oracle(x: np.ndarray, w, n_heads: int, mask) -> np.ndarray:
             out[bi, h] = probs @ v[bi, h]
     merged = out.transpose(0, 2, 1, 3).reshape(b, t, d)
     return merged @ w.wo.data + w.bo.data
+
+
+def unfused_attention(tokens, w, n_heads: int, mask):
+    """``masked_attention`` as a composition of primitive tape ops: head
+    splits, k^T copy, scale, mask add, softmax, probs @ v and merge, each
+    its own node.  The fused op must match it bit for bit."""
+    b, t, d = tokens.shape
+    dh = d // n_heads
+
+    def split_heads(y):
+        return T.transpose(T.reshape(y, (b, t, n_heads, dh)), (0, 2, 1, 3))
+
+    q = split_heads(tokens @ w.wq + w.bq)
+    k = split_heads(tokens @ w.wk + w.bk)
+    v = split_heads(tokens @ w.wv + w.bv)
+    scores = (q @ T.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
+    if mask is not None:
+        mask = np.asarray(mask)
+        if mask.ndim == 2:
+            mask = mask[None, None, :, :]
+        elif mask.ndim == 3:
+            mask = mask[:, None, :, :]
+        scores = scores + T.Tensor(mask)
+    probs = T.softmax(scores, axis=-1)
+    out = T.reshape(T.transpose(probs @ v, (0, 2, 1, 3)), (b, t, d))
+    return out @ w.wo + w.bo

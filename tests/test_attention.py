@@ -9,7 +9,8 @@ from samb.errors import (ConfigError, ContractError, DegenerateMaskError,
                          NumericError)
 from samb.tensor import Tensor
 
-from helpers import dense_attention_oracle
+from helpers import (check_grad, dense_attention_oracle, finite_diff_grad,
+                     unfused_attention)
 
 NEG = -np.inf
 
@@ -179,18 +180,70 @@ class TestMaskedAttention:
             masked_attention(x, random_weights(rng, 8), 2, mask)
 
     def test_gradient_through_masked_attention(self):
-        from helpers import check_grad
         rng = np.random.default_rng(8)
         mask = mode_masks(MessagePassingMode.SAMB, 2, 4)
-        x_data = rng.standard_normal((1, 6, 8))
+        x = Tensor(rng.standard_normal((1, 6, 8)), requires_grad=True)
         w = random_weights(rng, 8)
         c = Tensor(rng.standard_normal((1, 6, 8)))
 
         def loss():
-            return T.sum_all(masked_attention(Tensor(x_data), w, 2, mask) * c)
+            return T.sum_all(masked_attention(x, w, 2, mask) * c)
 
-        assert check_grad(loss, w.wq, step=1e-5) < 1e-5
-        assert check_grad(loss, w.wv, step=1e-5) < 1e-5
+        for param in (w.wq, w.wk, w.wv, w.wo, x):
+            assert check_grad(loss, param, step=1e-5) < 1e-5
+        # bk adds q.bk to a whole score row, which softmax cancels, so its
+        # gradient is zero and a relative error would compare noise
+        T.clear_tape()
+        w.bk.zero_grad()
+        T.backward(loss())
+        assert np.abs(w.bk.grad).max() < 1e-12
+
+        def f(_):
+            T.clear_tape()
+            return loss().item()
+
+        assert np.abs(finite_diff_grad(f, w.bk.data)).max() < 1e-8
+
+    @pytest.mark.parametrize("mode", list(MessagePassingMode))
+    def test_fused_matches_unfused_bit_for_bit(self, mode):
+        rng = np.random.default_rng(13)
+        for heads in (1, 2, 4):
+            m = int(rng.integers(4, 12))
+            n = int(rng.integers(1, min(m, 5) + 1))
+            mask = (mode_masks(mode, n, m, rng.integers(0, n, size=(3, m)))
+                    if mode.dynamic else mode_masks(mode, n, m))
+            t = TokenLayout(mode, n, m).total
+            x = Tensor(rng.standard_normal((3, t, 8)), requires_grad=True)
+            w = random_weights(rng, 8)
+            c = Tensor(rng.standard_normal((3, t, 8)))
+            params = [x] + list(w.named("attn").values())
+            results = []
+            for attend in (masked_attention, unfused_attention):
+                T.clear_tape()
+                for p in params:
+                    p.zero_grad()
+                out = attend(x, w, heads, mask)
+                T.backward(T.sum_all(out * c))
+                results.append([out.data] + [p.grad for p in params])
+            for fused, unfused in zip(*results):
+                assert np.array_equal(fused, unfused)
+
+    def test_repeated_backward_doubles_every_gradient(self):
+        # a backward that overwrote an array its node saved would make the
+        # second pass differ from the first
+        rng = np.random.default_rng(14)
+        mask = mode_masks(MessagePassingMode.SAMB_D, 2, 6, rng.integers(0, 2, size=(2, 6)))
+        x = Tensor(rng.standard_normal((2, 8, 8)), requires_grad=True)
+        w = random_weights(rng, 8)
+        params = [x] + list(w.named("attn").values())
+        # through a node, x gets its three projections' gradients as one sum
+        loss = T.sum_all(masked_attention(x * 1.0, w, 2, mask)
+                         * Tensor(rng.standard_normal((2, 8, 8))))
+        T.backward(loss)
+        once = [p.grad.copy() for p in params]
+        T.backward(loss)
+        for p, g in zip(params, once):
+            assert np.array_equal(p.grad, 2.0 * g)
 
 
 def attention_support_counts(mode, n, m, rng, heads=2, d=8):

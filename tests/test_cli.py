@@ -181,6 +181,30 @@ class TestTrain:
                      "--out", str(tmp_path / "o")]) == 2
         assert "target training split is empty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("split, name", [("source_eval", "source evaluation"),
+                                             ("target_eval", "target evaluation")])
+    def test_empty_eval_split_exit_2(self, data_dir, tmp_path, capsys, split, name):
+        empty = tmp_path / "data"
+        shutil.copytree(data_dir, empty)
+        ds = Dataset.load(empty / f"{split}.sdsh", split.split("_")[0])
+        Dataset(images=ds.images[:0], labels=None, domain=ds.domain,
+                sample_ids=ds.sample_ids[:0],
+                num_classes=ds.num_classes).save(empty / f"{split}.sdsh")
+        cfg = write_train_cfg(tmp_path / "t.cfg", empty)
+        assert main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"the {name} split is empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("momentum", "-0.1"), ("momentum", "1.0"), ("weight_decay", "-1e-4"),
+        ("eval_every", "-1"), ("lambda_max", "-1"), ("lambda_max", "nan"),
+        ("gamma", "inf"), ("gamma", "-2")])
+    def test_out_of_range_key_exit_2(self, data_dir, tmp_path, capsys, key, value):
+        cfg = write_train_cfg(tmp_path / "t.cfg", data_dir, **{key: value})
+        assert main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
+
     def test_temperature_key_rejected(self, data_dir, tmp_path):
         cfg = write_train_cfg(tmp_path / "t.cfg", data_dir, temperature=0.5)
         assert main(["train", "--config", str(cfg),

@@ -87,6 +87,15 @@ class TestSdshFormat:
         ds.save(path)
         assert Dataset.load(path).labels is None
 
+    def test_empty_split_loads_labelled(self, tmp_path):
+        ds = generate(tiny_spec())["target_eval"]
+        path = tmp_path / "e.sdsh"
+        Dataset(images=ds.images[:0], labels=None, domain="target",
+                sample_ids=ds.sample_ids[:0], num_classes=4).save(path)
+        loaded = Dataset.load(path, domain="target")
+        assert len(loaded) == 0
+        assert loaded.labels.dtype == np.int64 and loaded.labels.shape == (0,)
+
     def test_golden_header_layout(self, tmp_path):
         ds = generate(tiny_spec(train_per_class=1, num_classes=1))["source_train"]
         path = tmp_path / "g.sdsh"

@@ -49,6 +49,40 @@ class TestMatmul:
         assert check_grad(lambda: T.sum_all(T.tanh(a @ w)), w) < 1e-6
 
 
+class TestLinear:
+    def test_bit_identical_to_matmul_plus_add(self):
+        rng = np.random.default_rng(15)
+        x = Tensor(rng.standard_normal((3, 5, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
+        b = Tensor(rng.standard_normal(6), requires_grad=True)
+        c = Tensor(rng.standard_normal((3, 5, 6)))
+        results = []
+        for build in (lambda: T.linear(x, w, b), lambda: x @ w + b):
+            T.clear_tape()
+            for p in (x, w, b):
+                p.zero_grad()
+            out = build()
+            T.backward(T.sum_all(out * c))
+            results.append([out.data, x.grad, w.grad, b.grad])
+        for fused, unfused in zip(*results):
+            assert np.array_equal(fused, unfused)
+
+    def test_no_gradient_computed_for_constant_input(self):
+        rng = np.random.default_rng(16)
+        x = Tensor(rng.standard_normal((5, 4)))
+        w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+        b = Tensor(np.zeros(2))
+        T.linear(x, w, b)
+        gx, gw, gb = T.tape().nodes[-1].backward_fn(np.ones((5, 2)))
+        assert gx is None and gb is None
+        assert np.array_equal(gw, x.data.T @ np.ones((5, 2)))
+
+    def test_bias_shape_mismatch(self):
+        with pytest.raises(DimensionError):
+            T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))),
+                     Tensor(np.zeros(3)))
+
+
 class TestSoftmax:
     def test_symmetry(self):
         out = T.softmax(Tensor([0.0, 0.0]))
@@ -300,3 +334,33 @@ class TestCheckpoint:
         path.write_bytes(blob[:-8])
         with pytest.raises(FormatError, match="payload"):
             T.load_checkpoint(path)
+
+    def test_duplicate_record_name(self, tmp_path):
+        path = tmp_path / "ckpt.samb"
+        T.save_checkpoint(path, {"w": Tensor(np.arange(4.0))})
+        blob = path.read_bytes()
+        path.write_bytes(blob + blob[8:])
+        with pytest.raises(FormatError, match="duplicate record 'w'") as ei:
+            T.load_checkpoint(path)
+        assert ei.value.offset == len(blob)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload(self, tmp_path, bad):
+        path = tmp_path / "ckpt.samb"
+        T.save_checkpoint(path, {"a": Tensor(np.ones(2))})
+        record_b = len(path.read_bytes())
+        T.save_checkpoint(path, {"a": Tensor(np.ones(2)),
+                                 "b": Tensor(np.array([[1.0, bad]]))})
+        with pytest.raises(FormatError, match="'b' holds a non-finite") as ei:
+            T.load_checkpoint(path)
+        assert ei.value.offset == record_b
+
+    def test_name_not_utf8(self, tmp_path):
+        path = tmp_path / "ckpt.samb"
+        T.save_checkpoint(path, {"w": Tensor(np.arange(4.0))})
+        blob = bytearray(path.read_bytes())
+        blob[12] = 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="UTF-8") as ei:
+            T.load_checkpoint(path)
+        assert ei.value.offset == 12

@@ -40,6 +40,11 @@ def make_trainer(splits, **kw):
                    splits["target_eval"])
 
 
+def empty_like(ds):
+    return Dataset(images=ds.images[:0], labels=ds.labels[:0], domain=ds.domain,
+                   sample_ids=ds.sample_ids[:0], num_classes=ds.num_classes)
+
+
 def param_bytes(trainer):
     return {k: v.data.tobytes() for k, v in trainer.named_params().items()}
 
@@ -105,6 +110,12 @@ class TestRunMechanics:
                         num_classes=ds.num_classes)
         with pytest.raises(ConfigError, match="empty"):
             make_trainer({**splits, split: empty})
+
+    @pytest.mark.parametrize("split, name", [("source_eval", "source evaluation"),
+                                             ("target_eval", "target evaluation")])
+    def test_empty_eval_split_rejected(self, splits, split, name):
+        with pytest.raises(ConfigError, match=f"the {name} split is empty"):
+            make_trainer({**splits, split: empty_like(splits[split])})
 
     def test_bad_config(self):
         with pytest.raises(ConfigError):
@@ -252,6 +263,11 @@ class TestEvaluate:
         t = make_trainer(splits)
         with pytest.raises(ConfigError):
             evaluate(t.model, splits["target_eval"].without_labels())
+
+    def test_empty_dataset_rejected(self, splits):
+        t = make_trainer(splits)
+        with pytest.raises(ConfigError, match="empty"):
+            evaluate(t.model, empty_like(splits["target_eval"]))
 
 
 class TestMetricLog:
