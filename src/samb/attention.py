@@ -11,6 +11,7 @@ tokens] + [M image tokens].
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -101,13 +102,27 @@ class GumbelConfig:
 class GroupAssignment:
     """Hard token-to-group assignment plus its differentiable surrogates.
 
-    ``one_hot_st`` evaluates to an exact one-hot matrix but backpropagates
-    the gradient of the soft relaxation (straight-through).
+    ``soft`` and ``one_hot_st`` are built, and recorded on the tape, only
+    when first read.  ``one_hot_st`` evaluates to an exact one-hot matrix
+    but backpropagates the gradient of the soft relaxation (straight-through).
     """
     hard: np.ndarray            # [..., M] int indices into [0, N)
     soft_logits: Tensor         # [..., M, N]
-    soft: Tensor                # [..., M, N] Gumbel-perturbed softmax
-    one_hot_st: Tensor          # [..., M, N]
+    perturbed: Tensor           # [..., M, N] soft_logits plus Gumbel noise
+    temperature: float
+
+    @functools.cached_property
+    def soft(self) -> Tensor:
+        """[..., M, N] Gumbel-perturbed temperature softmax."""
+        return T.softmax(self.perturbed * (1.0 / self.temperature), axis=-1)
+
+    @functools.cached_property
+    def one_hot_st(self) -> Tensor:
+        """[..., M, N] one-hot of ``hard`` with the gradient of ``soft``."""
+        one_hot = np.zeros(self.perturbed.shape)
+        np.put_along_axis(one_hot, self.hard[..., None], 1.0, axis=-1)
+        # forward: exact one-hot; backward: identity onto the soft path
+        return T.custom_op(one_hot, (self.soft,), lambda g: (g,))
 
 
 def group_exclusion_mask(n: int) -> np.ndarray:
@@ -165,13 +180,8 @@ def gumbel_assign(soft_logits: Tensor, cfg: GumbelConfig,
         perturbed = soft_logits + Tensor(noise)
     else:
         perturbed = soft_logits
-    soft = T.softmax(perturbed * (1.0 / cfg.temperature), axis=-1)
-    hard = np.argmax(perturbed.data, axis=-1)
-    one_hot = np.zeros_like(soft.data)
-    np.put_along_axis(one_hot, hard[..., None], 1.0, axis=-1)
-    # forward: exact one-hot; backward: identity onto the soft path
-    st = T.custom_op(one_hot, (soft,), lambda g: (g,))
-    return GroupAssignment(hard=hard, soft_logits=soft_logits, soft=soft, one_hot_st=st)
+    return GroupAssignment(hard=np.argmax(perturbed.data, axis=-1), soft_logits=soft_logits,
+                           perturbed=perturbed, temperature=cfg.temperature)
 
 
 def mode_masks(mode: MessagePassingMode, n: int, m: int,
@@ -253,17 +263,26 @@ def masked_attention(tokens: Tensor, weights: AttentionWeights, n_heads: int,
     return T.linear(out, weights.wo, weights.bo)
 
 
+# Scores are walked in chunks of whole sequences of at most this many float64
+# elements (1 MiB), so that one chunk stays in a 2 MiB L2 cache.
+_CHUNK_ELEMS = 1 << 17
+
+
 def _attend(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
             mask: Optional[np.ndarray]) -> Tensor:
     """softmax(q_h k_h^T / sqrt(dh) + mask) v_h per head, merged back to
     [B, T, d], as one tape node.
 
-    The scores are scaled, masked and normalised in place in one [B, H, T, T]
-    buffer, which becomes the probabilities; the node keeps only those, the
-    contiguous head splits of q and v, and k^T.  The numpy operations, their
-    order and their operands' layouts are those of the primitive-op
-    composition, so forward and backward are bit-identical to it.  For the
-    same reason the scale is not folded into q: that rounds differently.
+    The [B, H, T, T] scores never exist at once: each chunk of at most
+    ``_CHUNK_ELEMS`` elements is scaled, masked and normalised in place in
+    one reused buffer, which becomes that chunk's probabilities.  The node
+    keeps the contiguous head splits of q and v, k^T, the row max and row
+    sum, and the buffer; the backward walks the chunks in reverse and
+    recomputes each one's probabilities from the saved row statistics,
+    except the chunk still in the buffer.  The numpy operations, their order
+    and their operands' layouts are those of the primitive-op composition,
+    so forward and backward are bit-identical to it.  For the same reason
+    the scale is not folded into q: that rounds differently.
     """
     b, t, d = q.shape
     dh = d // n_heads
@@ -274,36 +293,67 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     def merge(y: np.ndarray) -> np.ndarray:      # [B, H, T, dh] -> [B, T, d]
         return y.transpose(0, 2, 1, 3).reshape(b, t, d)
 
+    shape = (b, n_heads, t, t)
+    if mask is not None:
+        try:
+            fits = np.broadcast_shapes(mask.shape, shape) == shape
+        except ValueError:
+            fits = False
+        if not fits:
+            raise DimensionError(
+                f"attention: mask {mask.shape} does not broadcast to scores {shape}")
     qh = np.ascontiguousarray(split(q.data))
     kt = np.ascontiguousarray(split(k.data).transpose(0, 1, 3, 2))
     vh = np.ascontiguousarray(split(v.data))
     scale = float(1.0 / np.sqrt(dh))
-    y = T.counted_matmul(qh, kt)
-    y *= scale
-    if mask is not None:
-        try:
-            y += mask
-        except ValueError:
-            raise DimensionError(
-                f"attention: mask {mask.shape} does not broadcast to scores {y.shape}")
-    m = np.max(y, axis=-1, keepdims=True)
-    if np.any(np.isneginf(m)):
-        raise DegenerateMaskError("softmax: a row is fully masked (all -inf)")
-    y -= m
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
-    out = merge(T.counted_matmul(y, vh))
+    per_chunk = max(1, _CHUNK_ELEMS // (n_heads * t * t))
+    chunks = [slice(i, min(i + per_chunk, b)) for i in range(0, b, per_chunk)]
+    buf = np.empty((min(per_chunk, b), n_heads, t, t))
+    row_max = np.empty((b, n_heads, t, 1))
+    row_sum = np.empty((b, n_heads, t, 1))
+
+    def scores(sl: slice, matmul) -> np.ndarray:
+        y = matmul(qh[sl], kt[sl], out=buf[:sl.stop - sl.start])
+        y *= scale
+        if mask is not None:
+            y += mask[sl] if mask.ndim == 4 and mask.shape[0] > 1 else mask
+        return y
+
+    out = np.empty((b, n_heads, t, dh))
+    for sl in chunks:
+        y = scores(sl, T.counted_matmul)
+        m = np.max(y, axis=-1, keepdims=True, out=row_max[sl])
+        if np.any(np.isneginf(m)):
+            raise DegenerateMaskError("softmax: a row is fully masked (all -inf)")
+        y -= m
+        np.exp(y, out=y)
+        y /= np.sum(y, axis=-1, keepdims=True, out=row_sum[sl])
+        T.counted_matmul(y, vh[sl], out=out[sl])
+    held = [len(chunks) - 1]                     # chunk whose probabilities are in buf
 
     def backward(g):
         g = split(g)
-        dp = np.matmul(g, np.swapaxes(vh, -1, -2))
-        dv = np.matmul(np.swapaxes(y, -1, -2), g)
-        dot = (dp * y).sum(axis=-1, keepdims=True)
-        dp -= dot                                # dp becomes the score gradient
-        dp *= y
-        dp *= scale
-        dq = np.matmul(dp, np.swapaxes(kt, -1, -2))
-        dkt = np.matmul(np.swapaxes(qh, -1, -2), dp)
+        dq, dkt, dv = np.empty_like(qh), np.empty_like(kt), np.empty_like(vh)
+        dp = np.empty_like(buf)
+        for i in reversed(range(len(chunks))):
+            sl = chunks[i]
+            n = sl.stop - sl.start
+            y = buf[:n]
+            if held[0] != i:                     # recompute without counting FLOPs
+                scores(sl, np.matmul)
+                y -= row_max[sl]
+                np.exp(y, out=y)
+                y /= row_sum[sl]
+                held[0] = i
+            gs, p = g[sl], dp[:n]
+            np.matmul(gs, np.swapaxes(vh[sl], -1, -2), out=p)
+            np.matmul(np.swapaxes(y, -1, -2), gs, out=dv[sl])
+            dot = (p * y).sum(axis=-1, keepdims=True)
+            p -= dot                             # p becomes the score gradient
+            p *= y
+            p *= scale
+            np.matmul(p, np.swapaxes(kt[sl], -1, -2), out=dq[sl])
+            np.matmul(np.swapaxes(qh[sl], -1, -2), p, out=dkt[sl])
         return merge(dq), merge(dkt.transpose(0, 1, 3, 2)), merge(dv)
 
-    return T.custom_op(out, (q, k, v), backward)
+    return T.custom_op(merge(out), (q, k, v), backward)

@@ -14,6 +14,7 @@ value; it flows through ``softmax`` as exact zero probability.
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Callable, Optional, Sequence
 
@@ -179,18 +180,20 @@ def stop_flop_count() -> float:
     return _flop_counter[0]
 
 
-def counted_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def counted_matmul(a: np.ndarray, b: np.ndarray,
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
     """``np.matmul`` of two arrays of rank >= 2, added to the FLOP count.
 
     Records no tape node; every forward product of the package goes
     through here, so the count covers ``matmul``, ``linear`` and fused ops.
+    ``out``, if given, receives the product, as for ``np.matmul``.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError(f"matmul requires rank >= 2, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul: inner dims disagree, {a.shape} x {b.shape}")
     try:
-        out = np.matmul(a, b)
+        out = np.matmul(a, b, out=out)
     except ValueError:
         raise DimensionError(f"matmul: batch dims do not broadcast, {a.shape} x {b.shape}")
     if _flop_counting[0]:
@@ -407,7 +410,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     if labels.shape != (b,):
         raise DimensionError(f"cross_entropy: labels shape {labels.shape} != ({b},)")
     if labels.min() < 0 or labels.max() >= c:
-        raise IndexError(f"cross_entropy: label out of range [0, {c})")
+        raise ContractError(f"cross_entropy: label out of range [0, {c})")
     x = logits.data
     m = x.max(axis=1, keepdims=True)
     lse = m + np.log(np.exp(x - m).sum(axis=1, keepdims=True))
@@ -475,8 +478,8 @@ class SgdState:
 def sgd_step(params: Sequence[Tensor], lr: float, momentum: float = 0.0,
              weight_decay: float = 0.0, state: Optional[SgdState] = None):
     """v <- momentum*v + grad + wd*param;  param <- param - lr*v."""
-    if lr <= 0:
-        raise ContractError("sgd_step: lr must be > 0")
+    if not 0.0 < lr < np.inf:
+        raise ContractError(f"sgd_step: lr must be finite and > 0, got {lr}")
     if state is None:
         state = SgdState()
     for p in params:
@@ -543,12 +546,14 @@ def load_checkpoint(path) -> dict[str, Tensor]:
         off += 4
         if off + 4 * rank > len(blob):
             raise FormatError("truncated record dims", off)
-        dims = struct.unpack_from(f"<{rank}I", blob, off) if rank else ()
+        dims_off = off
+        dims = struct.unpack_from(f"<{rank}I", blob, off)
         off += 4 * rank
-        count = int(np.prod(dims)) if rank else 1
+        count = math.prod(dims)                  # Python ints: no int64 wrap
         nbytes = 8 * count
         if off + nbytes > len(blob):
-            raise FormatError("truncated record payload", off)
+            raise FormatError(f"record dims {dims} need {nbytes} payload bytes, "
+                              f"{len(blob) - off} remain", dims_off)
         if name in out:
             raise FormatError(f"duplicate record {name!r}", start)
         data = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(dims)

@@ -64,8 +64,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.iterations_1 < 0 or self.iterations_2 < 0:
             raise ConfigError("iteration counts must be >= 0")
-        if self.lr <= 0:
-            raise ConfigError("learning rate must be > 0")
+        if not 0.0 < self.lr < np.inf:
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if self.batch_size < 1:
             raise ConfigError("batch size must be >= 1")
         if not 0.0 <= self.momentum < 1.0:

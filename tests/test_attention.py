@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import samb.attention as attention
 import samb.tensor as T
 from samb.attention import (AttentionWeights, GumbelConfig, MessagePassingMode,
                             TokenLayout, contiguous_regions, gumbel_assign,
@@ -244,6 +245,81 @@ class TestMaskedAttention:
         T.backward(loss)
         for p, g in zip(params, once):
             assert np.array_equal(p.grad, 2.0 * g)
+
+
+class TestChunkedAttention:
+    """The scores are walked in chunks of whole sequences; shrinking
+    ``_CHUNK_ELEMS`` makes a B=4 batch run as several chunks, the last one
+    shorter when ``per_chunk`` does not divide 4."""
+
+    B, N, M, D = 4, 3, 9, 8
+
+    def setup(self, monkeypatch, rng, mode, heads, per_chunk):
+        n, m = self.N, self.M
+        mask = (mode_masks(mode, n, m, rng.integers(0, n, size=(self.B, m)))
+                if mode.dynamic else mode_masks(mode, n, m))
+        t = TokenLayout(mode, n, m).total
+        monkeypatch.setattr(attention, "_CHUNK_ELEMS", per_chunk * heads * t * t)
+        x = Tensor(rng.standard_normal((self.B, t, self.D)), requires_grad=True)
+        w = random_weights(rng, self.D)
+        c = Tensor(rng.standard_normal((self.B, t, self.D)))
+        return mask, x, w, c
+
+    @pytest.mark.parametrize("per_chunk", [1, 3])
+    @pytest.mark.parametrize("mode", list(MessagePassingMode))
+    def test_matches_unfused_bit_for_bit(self, monkeypatch, mode, per_chunk):
+        rng = np.random.default_rng(15)
+        for heads in (1, 2, 4):
+            mask, x, w, c = self.setup(monkeypatch, rng, mode, heads, per_chunk)
+            params = [x] + list(w.named("attn").values())
+            results = []
+            for attend in (masked_attention, unfused_attention):
+                T.clear_tape()
+                for p in params:
+                    p.zero_grad()
+                out = attend(x, w, heads, mask)
+                T.backward(T.sum_all(out * c))
+                results.append([out.data] + [p.grad for p in params])
+            for chunked, unfused in zip(*results):
+                assert np.array_equal(chunked, unfused)
+
+    def test_repeated_backward_doubles_every_gradient(self, monkeypatch):
+        # the first backward leaves chunk 0's probabilities in the buffer, so
+        # the second must recompute the last chunk instead of reusing it
+        rng = np.random.default_rng(16)
+        mask, x, w, c = self.setup(monkeypatch, rng, MessagePassingMode.SAMB_D, 2, 1)
+        params = [x] + list(w.named("attn").values())
+        loss = T.sum_all(masked_attention(x * 1.0, w, 2, mask) * c)
+        T.backward(loss)
+        once = [p.grad.copy() for p in params]
+        T.backward(loss)
+        for p, g in zip(params, once):
+            assert np.array_equal(p.grad, 2.0 * g)
+
+    @pytest.mark.parametrize("mode", [MessagePassingMode.SAMB, MessagePassingMode.SAMB_D])
+    def test_node_keeps_no_full_score_array(self, monkeypatch, mode):
+        rng = np.random.default_rng(17)
+        heads = 2
+        mask, x, w, _ = self.setup(monkeypatch, rng, mode, heads, 1)
+        masked_attention(x, w, heads, mask)
+        node, = [n for n in T.tape().nodes
+                 if n.backward_fn.__qualname__.startswith("_attend.")]
+        t = x.shape[1]
+        full = self.B * heads * t * t
+        seen, arrays, todo = set(), [], [node.backward_fn]
+        while todo:                              # arrays reachable from the closure
+            obj = todo.pop()
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, np.ndarray):
+                arrays.append(obj)
+            elif callable(obj) and getattr(obj, "__closure__", None):
+                todo += [cell.cell_contents for cell in obj.__closure__]
+            elif isinstance(obj, (list, tuple)):
+                todo += list(obj)
+        assert any(a.shape == (1, heads, t, t) for a in arrays)   # the chunk buffer
+        assert all(a.size < full for a in arrays)
 
 
 def attention_support_counts(mode, n, m, rng, heads=2, d=8):

@@ -198,7 +198,7 @@ class TestTrain:
     @pytest.mark.parametrize("key, value", [
         ("momentum", "-0.1"), ("momentum", "1.0"), ("weight_decay", "-1e-4"),
         ("eval_every", "-1"), ("lambda_max", "-1"), ("lambda_max", "nan"),
-        ("gamma", "inf"), ("gamma", "-2")])
+        ("gamma", "inf"), ("gamma", "-2"), ("lr", "nan"), ("lr", "inf")])
     def test_out_of_range_key_exit_2(self, data_dir, tmp_path, capsys, key, value):
         cfg = write_train_cfg(tmp_path / "t.cfg", data_dir, **{key: value})
         assert main(["train", "--config", str(cfg),

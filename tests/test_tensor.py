@@ -1,5 +1,6 @@
 import gc
 import math
+import struct
 import weakref
 
 import numpy as np
@@ -148,8 +149,9 @@ class TestCrossEntropy:
         assert abs(loss.item() - expected) < 1e-10
 
     def test_out_of_range_label(self):
-        with pytest.raises(IndexError):
-            T.cross_entropy(Tensor(np.zeros((2, 3))), [0, 3])
+        for labels in ([0, 3], [-1, 0]):
+            with pytest.raises(ContractError, match=r"label out of range \[0, 3\)"):
+                T.cross_entropy(Tensor(np.zeros((2, 3))), labels)
 
     def test_gradient(self):
         rng = np.random.default_rng(6)
@@ -301,6 +303,14 @@ class TestSgd:
         expected = -0.1 * g - 0.1 * 1.9 * g
         assert np.abs(p.data - expected).max() < 1e-12
 
+    @pytest.mark.parametrize("lr", [0.0, -0.1, np.nan, np.inf])
+    def test_lr_must_be_finite_and_positive(self, lr):
+        p = Tensor(np.ones(2), requires_grad=True)
+        p.grad = np.ones(2)
+        with pytest.raises(ContractError, match="lr must be finite"):
+            T.sgd_step([p], lr=lr)
+        assert np.array_equal(p.data, np.ones(2))
+
     def test_weight_decay(self):
         p = Tensor(np.array([2.0]), requires_grad=True)
         p.grad = np.array([0.0])
@@ -334,6 +344,17 @@ class TestCheckpoint:
         path.write_bytes(blob[:-8])
         with pytest.raises(FormatError, match="payload"):
             T.load_checkpoint(path)
+
+    def test_dims_whose_int64_product_wraps(self, tmp_path):
+        # 65536**4 == 2**64 wraps to 0 in int64, which would pass a length
+        # check made with np.prod and fail later in reshape
+        path = tmp_path / "ckpt.samb"
+        name = b"w"
+        path.write_bytes(b"SAMB" + struct.pack("<I", 1) + struct.pack("<I", len(name))
+                         + name + struct.pack("<5I", 4, *(65536,) * 4))
+        with pytest.raises(FormatError, match="payload") as ei:
+            T.load_checkpoint(path)
+        assert ei.value.offset == 8 + 4 + len(name) + 4
 
     def test_duplicate_record_name(self, tmp_path):
         path = tmp_path / "ckpt.samb"

@@ -123,6 +123,11 @@ class TestRunMechanics:
         with pytest.raises(ConfigError):
             tiny_train_cfg(lr=0.0)
 
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf])
+    def test_non_finite_lr_rejected(self, lr):
+        with pytest.raises(ConfigError, match="lr must be finite"):
+            tiny_train_cfg(lr=lr)
+
 
 class TestDeterminism:
     def test_bit_identical_runs(self, splits, tmp_path):
