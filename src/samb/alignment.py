@@ -55,10 +55,6 @@ class Discriminator:
     def params(self) -> list[Tensor]:
         return list(self.named_params().values())
 
-    def zero_grad(self):
-        for p in self.params():
-            p.zero_grad()
-
     def forward(self, feat: Tensor) -> Tensor:
         h = T.gelu(T.linear(feat, self.w1, self.b1))
         out = T.sigmoid(T.linear(h, self.w2, self.b2))

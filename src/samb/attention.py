@@ -107,8 +107,7 @@ class GroupAssignment:
     but backpropagates the gradient of the soft relaxation (straight-through).
     """
     hard: np.ndarray            # [..., M] int indices into [0, N)
-    soft_logits: Tensor         # [..., M, N]
-    perturbed: Tensor           # [..., M, N] soft_logits plus Gumbel noise
+    perturbed: Tensor           # [..., M, N] logits plus Gumbel noise
     temperature: float
 
     @functools.cached_property
@@ -180,7 +179,7 @@ def gumbel_assign(soft_logits: Tensor, cfg: GumbelConfig,
         perturbed = soft_logits + Tensor(noise)
     else:
         perturbed = soft_logits
-    return GroupAssignment(hard=np.argmax(perturbed.data, axis=-1), soft_logits=soft_logits,
+    return GroupAssignment(hard=np.argmax(perturbed.data, axis=-1),
                            perturbed=perturbed, temperature=cfg.temperature)
 
 

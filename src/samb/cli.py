@@ -14,17 +14,18 @@ import hashlib
 import os
 import sys
 from dataclasses import fields
+from enum import Enum
 
 import numpy as np
 
 from . import tensor as T
 from .alignment import GrlConfig
-from .attention import GumbelConfig, MessagePassingMode
+from .attention import GumbelConfig
 from .data import Dataset, SyntheticSpec, batch_iter, generate
 from .errors import (ConfigError, ContractError, DegenerateMaskError,
                      FormatError, NumericError)
 from .model import ModelConfig, VitSamb
-from .trainer import Scheme, TrainConfig, Trainer
+from .trainer import TrainConfig, Trainer
 
 
 # ---------------------------------------------------------------------------
@@ -50,40 +51,36 @@ def parse_config(path) -> dict[str, str]:
 
 
 class _KeyReader:
-    """Typed access with defaults; flags unknown keys at the end."""
+    """Reads keys parsed as their default's type; flags unknown keys at the end."""
 
     def __init__(self, raw: dict[str, str]):
         self.raw = raw
         self.used: set[str] = set()
 
-    def _get(self, key, default):
+    def get(self, key, default):
         self.used.add(key)
-        return self.raw.get(key, default)
-
-    def str(self, key, default):
-        return str(self._get(key, default))
-
-    def int(self, key, default):
-        v = self._get(key, default)
+        if key not in self.raw:
+            return default
+        value, kind = self.raw[key], type(default)
+        if kind is bool:
+            word = value.lower()
+            if word in ("1", "true", "yes"):
+                return True
+            if word in ("0", "false", "no"):
+                return False
+            raise ConfigError(f"key {key!r}: expected boolean, got {value!r}")
         try:
-            return int(v)
+            return kind(value)
         except ValueError:
-            raise ConfigError(f"key {key!r}: expected integer, got {v!r}")
+            if issubclass(kind, Enum):
+                valid = ", ".join(m.value for m in kind)
+                raise ConfigError(f"invalid {key} {value!r}; expected one of: {valid}")
+            raise ConfigError(f"key {key!r}: expected {kind.__name__}, got {value!r}")
 
-    def float(self, key, default):
-        v = self._get(key, default)
-        try:
-            return float(v)
-        except ValueError:
-            raise ConfigError(f"key {key!r}: expected number, got {v!r}")
-
-    def bool(self, key, default):
-        v = str(self._get(key, default)).lower()
-        if v in ("1", "true", "yes"):
-            return True
-        if v in ("0", "false", "no"):
-            return False
-        raise ConfigError(f"key {key!r}: expected boolean, got {v!r}")
+    def fill(self, cls, **fixed):
+        """An instance of dataclass ``cls`` with one key per field not fixed."""
+        return cls(**fixed, **{f.name: self.get(f.name, f.default)
+                               for f in fields(cls) if f.name not in fixed})
 
     def finish(self):
         unknown = set(self.raw) - self.used
@@ -94,58 +91,29 @@ class _KeyReader:
 def spec_from_config(raw: dict[str, str]) -> SyntheticSpec:
     """Each SyntheticSpec field is a key, parsed as its default's type."""
     r = _KeyReader(raw)
-    spec = SyntheticSpec(**{f.name: getattr(r, type(f.default).__name__)(f.name, f.default)
-                            for f in fields(SyntheticSpec)})
+    spec = r.fill(SyntheticSpec)
     r.finish()
     return spec
 
 
-def _parse_enum(cls, value: str, what: str):
-    try:
-        return cls(value)
-    except ValueError:
-        valid = ", ".join(m.value for m in cls)
-        raise ConfigError(f"invalid {what} {value!r}; expected one of: {valid}")
-
-
 def train_config_from(raw: dict[str, str], source_train: Dataset) -> tuple[TrainConfig, str]:
-    """Build a TrainConfig; image geometry and class count come from the data."""
+    """Build a TrainConfig; image geometry and class count come from the data.
+
+    The keys are ``data_dir``, ``seed``, ``gumbel_noise`` and the fields of
+    ModelConfig, GrlConfig and TrainConfig that are not fixed here.
+    """
     r = _KeyReader(raw)
-    data_dir = r.str("data_dir", "")
+    data_dir = r.get("data_dir", "")
     if not data_dir:
         raise ConfigError("config must set data_dir")
-    h = source_train.images.shape[2]
-    seed = r.int("seed", TrainConfig.seed)
-    model = ModelConfig(
-        image_size=h,
-        patch_size=r.int("patch_size", ModelConfig.patch_size),
-        in_channels=source_train.images.shape[1],
-        embed_dim=r.int("embed_dim", ModelConfig.embed_dim),
-        depth=r.int("depth", ModelConfig.depth),
-        heads=r.int("heads", ModelConfig.heads),
-        mlp_ratio=r.int("mlp_ratio", ModelConfig.mlp_ratio),
-        num_classes=source_train.num_classes,
-        num_group_tokens=r.int("num_group_tokens", ModelConfig.num_group_tokens),
-        mode=_parse_enum(MessagePassingMode, r.str("mode", ModelConfig.mode.value), "mode"),
-        gumbel=GumbelConfig(
-            noise_enabled=r.bool("gumbel_noise", GumbelConfig.noise_enabled),
-            rng_seed=seed),
-    )
-    cfg = TrainConfig(
-        model=model,
-        scheme=_parse_enum(Scheme, r.str("scheme", TrainConfig.scheme.value), "scheme"),
-        iterations_1=r.int("iterations_1", TrainConfig.iterations_1),
-        iterations_2=r.int("iterations_2", TrainConfig.iterations_2),
-        lr=r.float("lr", TrainConfig.lr),
-        momentum=r.float("momentum", TrainConfig.momentum),
-        weight_decay=r.float("weight_decay", TrainConfig.weight_decay),
-        batch_size=r.int("batch_size", TrainConfig.batch_size),
-        seed=seed,
-        grl=GrlConfig(lambda_max=r.float("lambda_max", GrlConfig.lambda_max),
-                      gamma=r.float("gamma", GrlConfig.gamma)),
-        eval_every=r.int("eval_every", TrainConfig.eval_every),
-        wallclock=r.bool("wallclock", TrainConfig.wallclock),
-    )
+    seed = r.get("seed", TrainConfig.seed)
+    _, c, h, _ = source_train.images.shape
+    model = r.fill(ModelConfig, image_size=h, in_channels=c,
+                   num_classes=source_train.num_classes,
+                   gumbel=GumbelConfig(
+                       noise_enabled=r.get("gumbel_noise", GumbelConfig.noise_enabled),
+                       rng_seed=seed))
+    cfg = r.fill(TrainConfig, model=model, seed=seed, grl=r.fill(GrlConfig))
     r.finish()
     return cfg, data_dir
 

@@ -41,6 +41,11 @@ class SyntheticSpec:
     def __post_init__(self):
         if not 1 <= self.num_classes <= len(GLYPHS):
             raise ConfigError(f"num_classes must be in [1, {len(GLYPHS)}]")
+        if self.image_size < 1:
+            raise ConfigError(f"image_size must be >= 1, got {self.image_size}")
+        for key in ("train_per_class", "eval_per_class"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
 
 
 @dataclass

@@ -32,6 +32,9 @@ class ModelConfig:
     gumbel: GumbelConfig = field(default_factory=GumbelConfig)
 
     def __post_init__(self):
+        for key in ("patch_size", "embed_dim", "depth", "heads", "mlp_ratio"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.image_size % self.patch_size != 0:
             raise ConfigError(
                 f"image size {self.image_size} not divisible by patch {self.patch_size}")
@@ -86,69 +89,61 @@ class VitSamb:
         p = cfg.patch_size
         patch_dim = p * p * cfg.in_channels
 
-        def param(data):
+        self._params: dict[str, Tensor] = {}   # record name -> parameter
+
+        def leaf(data):
             return Tensor(data, requires_grad=True)
 
-        self.patch_w = param(xavier(rng, patch_dim, d))
-        self.patch_b = param(np.zeros(d))
-        self.pos_embed = param(trunc_normal(rng, (cfg.num_patches, d)))
-        self.group_tokens = (param(trunc_normal(rng, (cfg.num_group_tokens, d)))
+        def param(name, data):
+            self._params[name] = t = leaf(data)
+            return t
+
+        self.patch_w = param("patch_w", xavier(rng, patch_dim, d))
+        self.patch_b = param("patch_b", np.zeros(d))
+        self.pos_embed = param("pos_embed", trunc_normal(rng, (cfg.num_patches, d)))
+        self.group_tokens = (param("group_tokens", trunc_normal(rng, (cfg.num_group_tokens, d)))
                              if cfg.mode.has_group_tokens else None)
-        self.cls_token = (param(trunc_normal(rng, (d,)))
+        self.cls_token = (param("cls_token", trunc_normal(rng, (d,)))
                           if cfg.mode.has_class_token else None)
         self.blocks = []
-        for _ in range(cfg.depth):
-            attn = AttentionWeights(
-                wq=param(xavier(rng, d, d)), bq=param(np.zeros(d)),
-                wk=param(xavier(rng, d, d)), bk=param(np.zeros(d)),
-                wv=param(xavier(rng, d, d)), bv=param(np.zeros(d)),
-                wo=param(xavier(rng, d, d)), bo=param(np.zeros(d)))
-            block = {
-                "ln1_g": param(np.ones(d)), "ln1_b": param(np.zeros(d)),
-                "attn": attn,
-                "ln2_g": param(np.ones(d)), "ln2_b": param(np.zeros(d)),
-                "mlp_w1": param(xavier(rng, d, cfg.mlp_ratio * d)),
-                "mlp_b1": param(np.zeros(cfg.mlp_ratio * d)),
-                "mlp_w2": param(xavier(rng, cfg.mlp_ratio * d, d)),
-                "mlp_b2": param(np.zeros(d)),
-            }
+        for i in range(cfg.depth):
+            block = {}
+
+            def add(key, data):
+                block[key] = param(f"block{i}.{key}", data)
+
+            # record order is creation order; the norms draw nothing from rng,
+            # so creating them before attn leaves the draw order unchanged
+            add("ln1_g", np.ones(d))
+            add("ln1_b", np.zeros(d))
+            block["attn"] = AttentionWeights(
+                wq=leaf(xavier(rng, d, d)), bq=leaf(np.zeros(d)),
+                wk=leaf(xavier(rng, d, d)), bk=leaf(np.zeros(d)),
+                wv=leaf(xavier(rng, d, d)), bv=leaf(np.zeros(d)),
+                wo=leaf(xavier(rng, d, d)), bo=leaf(np.zeros(d)))
+            self._params.update(block["attn"].named(f"block{i}.attn"))
+            add("ln2_g", np.ones(d))
+            add("ln2_b", np.zeros(d))
+            add("mlp_w1", xavier(rng, d, cfg.mlp_ratio * d))
+            add("mlp_b1", np.zeros(cfg.mlp_ratio * d))
+            add("mlp_w2", xavier(rng, cfg.mlp_ratio * d, d))
+            add("mlp_b2", np.zeros(d))
             self.blocks.append(block)
-        self.ln_f_g = param(np.ones(d))
-        self.ln_f_b = param(np.zeros(d))
-        self.fusion_query = (param(xavier(rng, d, 1))
+        self.ln_f_g = param("ln_f_g", np.ones(d))
+        self.ln_f_b = param("ln_f_b", np.zeros(d))
+        self.fusion_query = (param("fusion_query", xavier(rng, d, 1))
                              if cfg.mode.has_group_tokens else None)
-        self.head_w = param(xavier(rng, d, cfg.num_classes))
-        self.head_b = param(np.zeros(cfg.num_classes))
+        self.head_w = param("head_w", xavier(rng, d, cfg.num_classes))
+        self.head_b = param("head_b", np.zeros(cfg.num_classes))
 
     # -- parameter plumbing -------------------------------------------------
 
     def named_params(self) -> dict[str, Tensor]:
-        out = {"patch_w": self.patch_w, "patch_b": self.patch_b,
-               "pos_embed": self.pos_embed}
-        if self.group_tokens is not None:
-            out["group_tokens"] = self.group_tokens
-        if self.cls_token is not None:
-            out["cls_token"] = self.cls_token
-        for i, blk in enumerate(self.blocks):
-            for k, v in blk.items():
-                if k == "attn":
-                    out.update(v.named(f"block{i}.attn"))
-                else:
-                    out[f"block{i}.{k}"] = v
-        out["ln_f_g"] = self.ln_f_g
-        out["ln_f_b"] = self.ln_f_b
-        if self.fusion_query is not None:
-            out["fusion_query"] = self.fusion_query
-        out["head_w"] = self.head_w
-        out["head_b"] = self.head_b
-        return out
+        """Every parameter under its checkpoint record name, in record order."""
+        return dict(self._params)
 
     def params(self) -> list[Tensor]:
-        return list(self.named_params().values())
-
-    def zero_grad(self):
-        for p in self.params():
-            p.zero_grad()
+        return list(self._params.values())
 
     def save(self, path):
         T.save_checkpoint(path, self.named_params())

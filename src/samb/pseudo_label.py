@@ -4,7 +4,6 @@ round.  Operates on detached feature matrices, no gradients involved."""
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -79,15 +78,6 @@ class PseudoLabelTable:
     max_probs: np.ndarray       # [T] classifier confidence used as weights
     centers: np.ndarray         # [K, d] weighted centers
     refined_centers: np.ndarray  # [K, d]
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["sample_id", "y_t", "y_t_star", "distance", "max_prob"])
-            for i in range(len(self.sample_ids)):
-                w.writerow([int(self.sample_ids[i]), int(self.initial_labels[i]),
-                            int(self.labels[i]), f"{self.distances[i]:.12g}",
-                            f"{self.max_probs[i]:.12g}"])
 
 
 def build_table(feats: np.ndarray, probs: np.ndarray,

@@ -140,12 +140,23 @@ class Trainer:
     def __init__(self, cfg: TrainConfig, source_train: Dataset,
                  target_train: Dataset, source_eval: Optional[Dataset] = None,
                  target_eval: Optional[Dataset] = None):
+        def describe(ds):
+            return f"{ds.num_classes} classes and {list(ds.images.shape[1:])} images"
+
         for name, ds in (("source training", source_train),
                          ("target training", target_train),
                          ("source evaluation", source_eval),
                          ("target evaluation", target_eval)):
-            if ds is not None and len(ds) == 0:
+            if ds is None:
+                continue
+            if len(ds) == 0:
                 raise ConfigError(f"the {name} split is empty")
+            if describe(ds) != describe(source_train):
+                raise ConfigError(f"the {name} split has {describe(ds)}, but the "
+                                  f"source training split has {describe(source_train)}")
+            # the target training split is read without labels
+            if name != "target training" and (ds.labels is None or (ds.labels < 0).any()):
+                raise ConfigError(f"the {name} split has unlabelled samples")
         self.cfg = cfg
         self.source_train = source_train
         # the trainer's target path never sees labels
@@ -172,9 +183,7 @@ class Trainer:
         return self.model.params() + self.disc.params()
 
     def named_params(self):
-        out = dict(self.model.named_params())
-        out.update(self.disc.named_params())
-        return out
+        return {**self.model.named_params(), **self.disc.named_params()}
 
     def save_checkpoint(self, path):
         T.save_checkpoint(path, self.named_params())
@@ -202,8 +211,8 @@ class Trainer:
 
     def _step(self, kind: str, lam: float):
         T.clear_tape()
-        self.model.zero_grad()
-        self.disc.zero_grad()
+        for p in self._all_params():
+            p.zero_grad()
         sb, _, _ = next(self._src_iter)
         tb, epoch, first = next(self._tgt_iter)
         if kind in ("pst", "joint") and (first or self.pseudo_labels is None):

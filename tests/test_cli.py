@@ -1,16 +1,19 @@
 import hashlib
 import shutil
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import samb.tensor as T
-from samb.cli import main, parse_config
+from samb.alignment import GrlConfig
+from samb.cli import main, parse_config, train_config_from
 from samb.data import Dataset, SyntheticSpec, generate
 from samb.errors import ConfigError
 from samb.model import ModelConfig, VitSamb
 from samb.attention import GumbelConfig, MessagePassingMode
+from samb.trainer import Scheme, TrainConfig
 
 
 @pytest.fixture(autouse=True)
@@ -57,10 +60,12 @@ def data_dir(tmp_path_factory):
 
 
 def write_train_cfg(path, data_dir, **extra):
-    text = TRAIN_TEXT.format(data_dir=data_dir)
-    for k, v in extra.items():
-        text += f"{k} = {v}\n"
-    path.write_text(text)
+    """TRAIN_TEXT with each key of ``extra`` set to its value, replaced in place
+    of the key's line or appended."""
+    lines = [line for line in TRAIN_TEXT.format(data_dir=data_dir).splitlines()
+             if line.split(" = ")[0] not in extra]
+    lines += [f"{k} = {v}" for k, v in extra.items()]
+    path.write_text("\n".join(lines) + "\n")
     return path
 
 
@@ -109,6 +114,17 @@ class TestGenData:
         spec.write_text("frobnicate = 1\n")
         assert main(["gen-data", "--spec", str(spec),
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("key, value", [
+        ("image_size", "0"), ("image_size", "-8"), ("train_per_class", "-1"),
+        ("eval_per_class", "-2")])
+    def test_out_of_range_key_exit_2(self, tmp_path, capsys, key, value):
+        spec = tmp_path / "bad.cfg"
+        spec.write_text(f"{key} = {value}\n")
+        out = tmp_path / "o"
+        assert main(["gen-data", "--spec", str(spec), "--out", str(out)]) == 2
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_spec_uses_synthetic_spec_defaults(self, tmp_path):
         spec = tmp_path / "empty.cfg"
@@ -198,12 +214,41 @@ class TestTrain:
     @pytest.mark.parametrize("key, value", [
         ("momentum", "-0.1"), ("momentum", "1.0"), ("weight_decay", "-1e-4"),
         ("eval_every", "-1"), ("lambda_max", "-1"), ("lambda_max", "nan"),
-        ("gamma", "inf"), ("gamma", "-2"), ("lr", "nan"), ("lr", "inf")])
+        ("gamma", "inf"), ("gamma", "-2"), ("lr", "nan"), ("lr", "inf"),
+        ("patch_size", "0"), ("patch_size", "-4"), ("heads", "0"), ("heads", "-2"),
+        ("embed_dim", "0"), ("embed_dim", "-8"), ("depth", "0"), ("depth", "-1"),
+        ("mlp_ratio", "0"), ("mlp_ratio", "-1")])
     def test_out_of_range_key_exit_2(self, data_dir, tmp_path, capsys, key, value):
         cfg = write_train_cfg(tmp_path / "t.cfg", data_dir, **{key: value})
         assert main(["train", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
-        assert key in capsys.readouterr().err
+        assert f"{key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("split, change, message", [
+        ("target_eval", "classes", "target evaluation split has 5 classes"),
+        ("target_eval", "geometry", "target evaluation split has 4 classes and [3, 16, 16]"),
+        ("source_train", "unlabel all", "source training split has unlabelled"),
+        ("source_train", "unlabel one", "source training split has unlabelled"),
+        ("target_eval", "unlabel one", "target evaluation split has unlabelled")])
+    def test_split_contract_exit_2(self, data_dir, tmp_path, capsys, split,
+                                   change, message):
+        broken = tmp_path / "data"
+        shutil.copytree(data_dir, broken)
+        ds = Dataset.load(broken / f"{split}.sdsh", split.split("_")[0])
+        if change == "classes":
+            ds = replace(ds, num_classes=5)
+        elif change == "geometry":
+            ds = replace(ds, images=ds.images.repeat(2, axis=2).repeat(2, axis=3))
+        elif change == "unlabel all":
+            ds = ds.without_labels()
+        else:
+            ds.labels[0] = -1
+        ds.save(broken / f"{split}.sdsh")
+        cfg = write_train_cfg(tmp_path / "t.cfg", broken)
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert list(out.glob("*.samb")) == []
 
     def test_temperature_key_rejected(self, data_dir, tmp_path):
         cfg = write_train_cfg(tmp_path / "t.cfg", data_dir, temperature=0.5)
@@ -214,6 +259,50 @@ class TestTrain:
         cfg = write_train_cfg(tmp_path / "t.cfg", data_dir)
         assert main(["train", "--config", str(cfg), "--out",
                      str(tmp_path / "o"), "--scheme", "bogus"]) == 2
+
+
+class TestConfigKeys:
+    def test_every_key_set(self, data_dir):
+        src = Dataset.load(data_dir / "source_train.sdsh")
+        raw = dict(data_dir="d", seed="7", patch_size="2", embed_dim="12",
+                   depth="3", heads="3", mlp_ratio="2", num_group_tokens="3",
+                   mode="g-l-d", gumbel_noise="no", scheme="pst-then-ada",
+                   iterations_1="11", iterations_2="12", lr="0.05",
+                   momentum="0.5", weight_decay="0.001", batch_size="4",
+                   lambda_max="0.7", gamma="3.5", eval_every="5",
+                   wallclock="yes")
+        assert len(raw) == 21
+        cfg, data = train_config_from(raw, src)
+        assert data == "d"
+        assert cfg == TrainConfig(
+            model=ModelConfig(image_size=8, patch_size=2, in_channels=3,
+                              embed_dim=12, depth=3, heads=3, mlp_ratio=2,
+                              num_classes=4, num_group_tokens=3,
+                              mode=MessagePassingMode.G_L_D,
+                              gumbel=GumbelConfig(noise_enabled=False, rng_seed=7)),
+            scheme=Scheme.PST_THEN_ADA, iterations_1=11, iterations_2=12,
+            lr=0.05, momentum=0.5, weight_decay=0.001, batch_size=4, seed=7,
+            grl=GrlConfig(lambda_max=0.7, gamma=3.5), eval_every=5,
+            wallclock=True)
+        defaults, _ = train_config_from({"data_dir": "d"}, src)
+        assert defaults == TrainConfig(model=ModelConfig(image_size=8, in_channels=3,
+                                                         num_classes=4))
+
+        def by_key(c):
+            return {**vars(c), **vars(c.model), **vars(c.grl),
+                    "gumbel_noise": c.model.gumbel.noise_enabled}
+        # every key was set to a value other than its default
+        assert [k for k in raw if k != "data_dir"
+                and by_key(cfg)[k] == by_key(defaults)[k]] == []
+
+    @pytest.mark.parametrize("key", ["image_size", "in_channels", "num_classes",
+                                     "noise_enabled", "rng_seed", "model", "grl",
+                                     "gumbel"])
+    def test_field_fixed_elsewhere_is_unknown_key(self, data_dir, tmp_path, capsys, key):
+        cfg = write_train_cfg(tmp_path / "t.cfg", data_dir, **{key: 1})
+        assert main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
 
 
 class TestSweep:

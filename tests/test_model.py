@@ -158,7 +158,30 @@ class TestComplexity:
             assert abs(estimate - measured) / measured < 0.01
 
 
+BLOCK0 = ["block0.ln1_g", "block0.ln1_b",
+          "block0.attn.wq", "block0.attn.bq", "block0.attn.wk", "block0.attn.bk",
+          "block0.attn.wv", "block0.attn.bv", "block0.attn.wo", "block0.attn.bo",
+          "block0.ln2_g", "block0.ln2_b",
+          "block0.mlp_w1", "block0.mlp_b1", "block0.mlp_w2", "block0.mlp_b2"]
+
+
 class TestCheckpoint:
+    @pytest.mark.parametrize("mode, names", [
+        (MessagePassingMode.SAMB_D,
+         ["patch_w", "patch_b", "pos_embed", "group_tokens", *BLOCK0,
+          "ln_f_g", "ln_f_b", "fusion_query", "head_w", "head_b"]),
+        (MessagePassingMode.G_L,
+         ["patch_w", "patch_b", "pos_embed", "group_tokens", "cls_token", *BLOCK0,
+          "ln_f_g", "ln_f_b", "fusion_query", "head_w", "head_b"]),
+        (MessagePassingMode.VANILLA_CLS,
+         ["patch_w", "patch_b", "pos_embed", "cls_token", *BLOCK0,
+          "ln_f_g", "ln_f_b", "head_w", "head_b"])],
+        ids=["samb-d", "g-l", "vanilla"])
+    def test_record_names_in_order(self, mode, names):
+        model = VitSamb(small_cfg(depth=1, mode=mode), np.random.default_rng(0))
+        assert list(model.named_params()) == names
+        assert model.params() == list(model.named_params().values())
+
     def test_save_load_round_trip(self, tmp_path):
         cfg = small_cfg()
         m1 = VitSamb(cfg, np.random.default_rng(19))

@@ -163,16 +163,3 @@ class TestPermutationEquivariance:
         assert np.array_equal(inv[t1.labels], t2.labels)
         assert np.abs(t1.refined_centers - t2.refined_centers[inv]).max() < 1e-12
 
-
-class TestTable:
-    def test_csv_dump(self, tmp_path):
-        rng = np.random.default_rng(9)
-        feats, _ = make_blobs(rng, k=2, per=5, d=4)
-        probs = rng.random((10, 2))
-        probs /= probs.sum(axis=1, keepdims=True)
-        table = build_table(feats, probs, np.arange(10))
-        path = tmp_path / "pl.csv"
-        table.to_csv(path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "sample_id,y_t,y_t_star,distance,max_prob"
-        assert len(lines) == 11

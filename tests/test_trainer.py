@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,36 @@ class TestRunMechanics:
     def test_empty_eval_split_rejected(self, splits, split, name):
         with pytest.raises(ConfigError, match=f"the {name} split is empty"):
             make_trainer({**splits, split: empty_like(splits[split])})
+
+    @pytest.mark.parametrize("split, name", [("target_train", "target training"),
+                                             ("source_eval", "source evaluation"),
+                                             ("target_eval", "target evaluation")])
+    @pytest.mark.parametrize("change", ["classes", "geometry"])
+    def test_split_unlike_source_train_rejected(self, splits, split, name, change):
+        ds = splits[split]
+        if change == "classes":
+            ds = replace(ds, num_classes=5)
+        else:
+            ds = replace(ds, images=ds.images.repeat(2, axis=2).repeat(2, axis=3))
+        with pytest.raises(ConfigError, match=f"the {name} split has .*, but the "
+                                              "source training split has 4 classes "
+                                              r"and \[3, 8, 8\] images"):
+            make_trainer({**splits, split: ds})
+
+    @pytest.mark.parametrize("split, name", [("source_train", "source training"),
+                                             ("source_eval", "source evaluation"),
+                                             ("target_eval", "target evaluation")])
+    @pytest.mark.parametrize("unlabelled", ["one", "all"])
+    def test_unlabelled_sample_rejected(self, splits, split, name, unlabelled):
+        ds = splits[split]
+        if unlabelled == "all":
+            ds = ds.without_labels()
+        else:
+            labels = ds.labels.copy()
+            labels[-1] = -1
+            ds = replace(ds, labels=labels)
+        with pytest.raises(ConfigError, match=f"the {name} split has unlabelled samples"):
+            make_trainer({**splits, split: ds})
 
     def test_bad_config(self):
         with pytest.raises(ConfigError):
