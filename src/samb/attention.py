@@ -78,6 +78,14 @@ class TokenLayout:
     def patch_start(self) -> int:
         return int(self.has_cls) + self.n_groups
 
+    @property
+    def head_rows(self) -> slice:
+        """The rows the fusion head reads: the N group tokens, or the class
+        token in vanilla, padded to at least two rows, because numpy sends a
+        one-row product to BLAS's gemv, which rounds differently from gemm."""
+        start, count = (self.group_start, self.n_groups) if self.n_groups else (0, 1)
+        return slice(start, start + max(2, count))
+
 
 @dataclass
 class AttentionMaskPair:
@@ -243,13 +251,22 @@ class AttentionWeights:
 
 
 def masked_attention(tokens: Tensor, weights: AttentionWeights, n_heads: int,
-                     mask: Optional[np.ndarray]) -> Tensor:
+                     mask: Optional[np.ndarray], rows: slice = slice(None)) -> Tensor:
     """Multi-head attention over [B, T, d] tokens with one shared additive
-    score mask per sequence (the same mask for every head)."""
+    score mask per sequence (the same mask for every head).
+
+    Only the query rows in the contiguous slice ``rows`` are computed, against
+    keys and values of every token: the output is [B, len(rows), d], the
+    matching rows of the all-rows output, with the same bits.
+    """
     b, t, d = tokens.shape
     if d % n_heads != 0:
         raise ConfigError(f"embed dim {d} not divisible by {n_heads} heads")
-    q = T.linear(tokens, weights.wq, weights.bq)
+    start, stop, step = rows.indices(t)
+    if step != 1 or start >= stop:
+        raise ContractError(f"attention: rows {rows} are not a non-empty contiguous slice")
+    queries = tokens if stop - start == t else T.narrow(tokens, 1, start, stop - start)
+    q = T.linear(queries, weights.wq, weights.bq)
     k = T.linear(tokens, weights.wk, weights.bk)
     v = T.linear(tokens, weights.wv, weights.bv)
     if mask is not None:
@@ -258,6 +275,7 @@ def masked_attention(tokens: Tensor, weights: AttentionWeights, n_heads: int,
             mask = mask[None, None, :, :]
         elif mask.ndim == 3:                     # per-sequence masks
             mask = mask[:, None, :, :]
+        mask = mask[..., start:stop, :]
     out = _attend(q, k, v, n_heads, mask)
     return T.linear(out, weights.wo, weights.bo)
 
@@ -270,9 +288,10 @@ _CHUNK_ELEMS = 1 << 17
 def _attend(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
             mask: Optional[np.ndarray]) -> Tensor:
     """softmax(q_h k_h^T / sqrt(dh) + mask) v_h per head, merged back to
-    [B, T, d], as one tape node.
+    [B, Tq, d], as one tape node, for [B, Tq, d] ``q`` and [B, Tk, d] ``k``
+    and ``v``.
 
-    The [B, H, T, T] scores never exist at once: each chunk of at most
+    The [B, H, Tq, Tk] scores never exist at once: each chunk of at most
     ``_CHUNK_ELEMS`` elements is scaled, masked and normalised in place in
     one reused buffer, which becomes that chunk's probabilities.  The node
     keeps the contiguous head splits of q and v, k^T, the row max and row
@@ -283,16 +302,17 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     so forward and backward are bit-identical to it.  For the same reason
     the scale is not folded into q: that rounds differently.
     """
-    b, t, d = q.shape
+    b, tq, d = q.shape
+    tk = k.shape[1]
     dh = d // n_heads
 
-    def split(y: np.ndarray) -> np.ndarray:      # [B, T, d] -> [B, H, T, dh] view
-        return y.reshape(b, t, n_heads, dh).transpose(0, 2, 1, 3)
+    def split(y: np.ndarray) -> np.ndarray:      # [B, t, d] -> [B, H, t, dh] view
+        return y.reshape(b, y.shape[1], n_heads, dh).transpose(0, 2, 1, 3)
 
-    def merge(y: np.ndarray) -> np.ndarray:      # [B, H, T, dh] -> [B, T, d]
-        return y.transpose(0, 2, 1, 3).reshape(b, t, d)
+    def merge(y: np.ndarray) -> np.ndarray:      # [B, H, t, dh] -> [B, t, d]
+        return y.transpose(0, 2, 1, 3).reshape(b, y.shape[2], d)
 
-    shape = (b, n_heads, t, t)
+    shape = (b, n_heads, tq, tk)
     if mask is not None:
         try:
             fits = np.broadcast_shapes(mask.shape, shape) == shape
@@ -305,11 +325,11 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     kt = np.ascontiguousarray(split(k.data).transpose(0, 1, 3, 2))
     vh = np.ascontiguousarray(split(v.data))
     scale = float(1.0 / np.sqrt(dh))
-    per_chunk = max(1, _CHUNK_ELEMS // (n_heads * t * t))
+    per_chunk = max(1, _CHUNK_ELEMS // (n_heads * tq * tk))
     chunks = [slice(i, min(i + per_chunk, b)) for i in range(0, b, per_chunk)]
-    buf = np.empty((min(per_chunk, b), n_heads, t, t))
-    row_max = np.empty((b, n_heads, t, 1))
-    row_sum = np.empty((b, n_heads, t, 1))
+    buf = np.empty((min(per_chunk, b), n_heads, tq, tk))
+    row_max = np.empty((b, n_heads, tq, 1))
+    row_sum = np.empty((b, n_heads, tq, 1))
 
     def scores(sl: slice, matmul) -> np.ndarray:
         y = matmul(qh[sl], kt[sl], out=buf[:sl.stop - sl.start])
@@ -318,7 +338,7 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
             y += mask[sl] if mask.ndim == 4 and mask.shape[0] > 1 else mask
         return y
 
-    out = np.empty((b, n_heads, t, dh))
+    out = np.empty((b, n_heads, tq, dh))
     for sl in chunks:
         y = scores(sl, T.counted_matmul)
         m = np.max(y, axis=-1, keepdims=True, out=row_max[sl])

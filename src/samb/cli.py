@@ -50,15 +50,32 @@ def parse_config(path) -> dict[str, str]:
     return out
 
 
+def _as_text(value) -> str:
+    """A parsed key value as config text, which parses back to it."""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
 class _KeyReader:
-    """Reads keys parsed as their default's type; flags unknown keys at the end."""
+    """Reads keys parsed as their default's type; flags unknown keys at the end.
+
+    ``resolved`` maps every key read to the text of its effective value, so a
+    key spelled out at its default reads the same as one left out.
+    """
 
     def __init__(self, raw: dict[str, str]):
         self.raw = raw
-        self.used: set[str] = set()
+        self.resolved: dict[str, str] = {}
 
     def get(self, key, default):
-        self.used.add(key)
+        value = self._parse(key, default)
+        self.resolved[key] = _as_text(value)
+        return value
+
+    def _parse(self, key, default):
         if key not in self.raw:
             return default
         value, kind = self.raw[key], type(default)
@@ -83,7 +100,7 @@ class _KeyReader:
                                for f in fields(cls) if f.name not in fixed})
 
     def finish(self):
-        unknown = set(self.raw) - self.used
+        unknown = set(self.raw) - set(self.resolved)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
@@ -96,11 +113,13 @@ def spec_from_config(raw: dict[str, str]) -> SyntheticSpec:
     return spec
 
 
-def train_config_from(raw: dict[str, str], source_train: Dataset) -> tuple[TrainConfig, str]:
+def train_config_from(raw: dict[str, str],
+                      source_train: Dataset) -> tuple[TrainConfig, dict[str, str]]:
     """Build a TrainConfig; image geometry and class count come from the data.
 
     The keys are ``data_dir``, ``seed``, ``gumbel_noise`` and the fields of
-    ModelConfig, GrlConfig and TrainConfig that are not fixed here.
+    ModelConfig, GrlConfig and TrainConfig that are not fixed here.  Also
+    returns every key's effective value as text, defaults included.
     """
     r = _KeyReader(raw)
     data_dir = r.get("data_dir", "")
@@ -115,12 +134,13 @@ def train_config_from(raw: dict[str, str], source_train: Dataset) -> tuple[Train
                        rng_seed=seed))
     cfg = r.fill(TrainConfig, model=model, seed=seed, grl=r.fill(GrlConfig))
     r.finish()
-    return cfg, data_dir
+    return cfg, r.resolved
 
 
-def write_manifest(raw: dict[str, str], out_dir: str):
-    """Resolved config plus a content hash, written before training starts."""
-    lines = [f"{k}={raw[k]}" for k in sorted(raw)]
+def write_manifest(resolved: dict[str, str], out_dir: str):
+    """Resolved config (every key, defaults included) plus a content hash,
+    written before training starts."""
+    lines = [f"{k}={resolved[k]}" for k in sorted(resolved)]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     with open(os.path.join(out_dir, "manifest.txt"), "w") as f:
         f.write("\n".join(lines))
@@ -156,9 +176,9 @@ def _apply_overrides(raw: dict[str, str], args) -> dict[str, str]:
 
 def _run_training(raw: dict[str, str], out_dir: str) -> Trainer:
     ds = load_datasets(raw.get("data_dir", ""))
-    cfg, _ = train_config_from(raw, ds["source_train"])
+    cfg, resolved = train_config_from(raw, ds["source_train"])
     os.makedirs(out_dir, exist_ok=True)
-    write_manifest(raw, out_dir)
+    write_manifest(resolved, out_dir)
     trainer = Trainer(cfg, ds["source_train"], ds["target_train"],
                       ds["source_eval"], ds["target_eval"])
     trainer.run(out_dir)

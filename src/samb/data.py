@@ -86,6 +86,8 @@ class Dataset:
         version, n, c, h, w, ncls = struct.unpack_from("<IIIIII", blob, 4)
         if version != _VERSION:
             raise FormatError(f"unsupported dataset version {version}", 4)
+        if 0 in (c, h, w):
+            raise FormatError(f"image shape {c}x{h}x{w} has a zero dimension", 12)
         # check the header against the file length before allocating anything
         sample_bytes = 4 + 4 * c * h * w
         complete = (len(blob) - _HEADER_BYTES) // sample_bytes

@@ -221,7 +221,10 @@ class VitSamb:
         static_mask = (mode_masks(cfg.mode, n, m)
                        if not cfg.mode.dynamic else None)
         assignments: list[GroupAssignment] = []
-        for blk in self.blocks:
+        # the last block computes only the rows the head reads; its keys and
+        # values still cover every token
+        head = layout.head_rows
+        for i, blk in enumerate(self.blocks):
             h = T.layer_norm(x, blk["ln1_g"], blk["ln1_b"])
             if cfg.mode.dynamic:
                 assignment = self._layer_assignment(h, blk["attn"], train, rng)
@@ -229,15 +232,19 @@ class VitSamb:
                 mask = mode_masks(cfg.mode, n, m, assignment.hard)
             else:
                 mask = static_mask
-            x = x + masked_attention(h, blk["attn"], cfg.heads, mask)
+            last = i == cfg.depth - 1
+            a = masked_attention(h, blk["attn"], cfg.heads, mask,
+                                 head if last else slice(None))
+            if last:
+                x = T.narrow(x, 1, head.start, head.stop - head.start)
+            x = x + a
             h = T.layer_norm(x, blk["ln2_g"], blk["ln2_b"])
             h = T.gelu(T.linear(h, blk["mlp_w1"], blk["mlp_b1"]))
             x = x + T.linear(h, blk["mlp_w2"], blk["mlp_b2"])
-        x = T.layer_norm(x, self.ln_f_g, self.ln_f_b)
+        x = T.layer_norm(x, self.ln_f_g, self.ln_f_b)        # [B, head rows, d]
 
         if cfg.mode.has_group_tokens:
-            gs = layout.group_start
-            xg = T.narrow(x, 1, gs, n)                       # [B, N, d]
+            xg = T.narrow(x, 1, 0, n)                        # [B, N, d]
             scores = T.reshape(xg @ self.fusion_query, (b, n)) * (1.0 / np.sqrt(d))
             weights = T.softmax(scores, axis=-1)             # [B, N]
             fused = T.sum_axis(T.reshape(weights, (b, n, 1)) * xg, axis=1)
@@ -259,11 +266,15 @@ class VitSamb:
         m = cfg.num_patches
         p2c = cfg.patch_size ** 2 * cfg.in_channels
         flops = 2.0 * batch * m * p2c * d                      # patch embedding
-        per_layer = (3 * 2.0 * batch * t * d * d               # q, k, v
-                     + 2 * 2.0 * batch * t * t * d             # scores, probs @ v
-                     + 2.0 * batch * t * d * d                 # output projection
-                     + 2 * 2.0 * batch * t * d * cfg.mlp_ratio * d)  # mlp
-        flops += cfg.depth * per_layer
+
+        def block(rows: int) -> float:                         # rows: query rows
+            return (2.0 * batch * (rows + 2 * t) * d * d       # q; k, v on all
+                    + 2 * 2.0 * batch * rows * t * d           # scores, probs @ v
+                    + 2.0 * batch * rows * d * d               # output projection
+                    + 2 * 2.0 * batch * rows * d * cfg.mlp_ratio * d)  # mlp
+
+        head = cfg.layout.head_rows
+        flops += (cfg.depth - 1) * block(t) + block(head.stop - head.start)
         if cfg.mode.has_group_tokens:
             flops += 2.0 * batch * cfg.num_group_tokens * d    # fusion scores
         flops += 2.0 * batch * d * cfg.num_classes             # classifier

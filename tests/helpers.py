@@ -3,6 +3,8 @@
 import numpy as np
 
 import samb.tensor as T
+from samb.attention import masked_attention, mode_masks
+from samb.model import ForwardResult
 
 
 def finite_diff_grad(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -101,3 +103,51 @@ def unfused_attention(tokens, w, n_heads: int, mask):
     probs = T.softmax(scores, axis=-1)
     out = T.reshape(T.transpose(probs @ v, (0, 2, 1, 3)), (b, t, d))
     return out @ w.wo + w.bo
+
+
+def unpruned_forward(model, images, train: bool = False, rng=None):
+    """``VitSamb.forward`` with every block computing every token row, as it
+    did before the last block was pruned to the rows the head reads.  The
+    pruned forward must match it bit for bit at desk scale."""
+    cfg = model.cfg
+    b = images.shape[0]
+    d = cfg.embed_dim
+    n, m = cfg.num_group_tokens, cfg.num_patches
+
+    patches = T.Tensor(model.patchify(np.asarray(images, dtype=np.float64)))
+    x = T.linear(patches, model.patch_w, model.patch_b) + model.pos_embed
+    parts = []
+    if model.cls_token is not None:
+        parts.append(T.broadcast_to(T.reshape(model.cls_token, (1, 1, d)), (b, 1, d)))
+    if model.group_tokens is not None:
+        parts.append(T.broadcast_to(T.reshape(model.group_tokens, (1, n, d)), (b, n, d)))
+    parts.append(x)
+    x = T.concat(parts, axis=1) if len(parts) > 1 else x
+
+    static_mask = mode_masks(cfg.mode, n, m) if not cfg.mode.dynamic else None
+    assignments = []
+    for blk in model.blocks:
+        h = T.layer_norm(x, blk["ln1_g"], blk["ln1_b"])
+        if cfg.mode.dynamic:
+            assignment = model._layer_assignment(h, blk["attn"], train, rng)
+            assignments.append(assignment)
+            mask = mode_masks(cfg.mode, n, m, assignment.hard)
+        else:
+            mask = static_mask
+        x = x + masked_attention(h, blk["attn"], cfg.heads, mask)
+        h = T.layer_norm(x, blk["ln2_g"], blk["ln2_b"])
+        h = T.gelu(T.linear(h, blk["mlp_w1"], blk["mlp_b1"]))
+        x = x + T.linear(h, blk["mlp_w2"], blk["mlp_b2"])
+    x = T.layer_norm(x, model.ln_f_g, model.ln_f_b)
+
+    if cfg.mode.has_group_tokens:
+        xg = T.narrow(x, 1, cfg.layout.group_start, n)
+        scores = T.reshape(xg @ model.fusion_query, (b, n)) * (1.0 / np.sqrt(d))
+        weights = T.softmax(scores, axis=-1)
+        fused = T.sum_axis(T.reshape(weights, (b, n, 1)) * xg, axis=1)
+    else:
+        fused = T.reshape(T.narrow(x, 1, 0, 1), (b, d))
+        weights = T.Tensor(np.ones((b, 1)))
+    logits = T.linear(fused, model.head_w, model.head_b)
+    return ForwardResult(logits=logits, feature=fused,
+                         fusion_weights=weights, assignments=assignments)

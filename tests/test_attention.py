@@ -229,6 +229,32 @@ class TestMaskedAttention:
             for fused, unfused in zip(*results):
                 assert np.array_equal(fused, unfused)
 
+    @pytest.mark.parametrize("mode", list(MessagePassingMode))
+    def test_rows_match_unfused_rows_bit_for_bit(self, mode):
+        rng = np.random.default_rng(18)
+        for heads in (1, 2, 4):
+            m = int(rng.integers(4, 12))
+            n = int(rng.integers(1, min(m, 5) + 1))
+            layout = TokenLayout(mode, n, m)
+            t = layout.total
+            mask = (mode_masks(mode, n, m, rng.integers(0, n, size=(3, m)))
+                    if mode.dynamic else mode_masks(mode, n, m))
+            x = Tensor(rng.standard_normal((3, t, 8)), requires_grad=True)
+            w = random_weights(rng, 8)
+            # at least two rows: numpy multiplies a single row through gemv,
+            # which rounds differently from the all-rows gemm
+            start = int(rng.integers(0, t - 1))
+            for rows in (layout.head_rows, slice(start, int(rng.integers(start + 2, t + 1)))):
+                assert_rows_match_unfused(x, w, heads, mask, rows, rng)
+
+    def test_rows_must_be_contiguous_and_nonempty(self):
+        rng = np.random.default_rng(19)
+        x = Tensor(rng.standard_normal((1, 6, 8)))
+        w = random_weights(rng, 8)
+        for rows in (slice(0, 6, 2), slice(3, 3)):
+            with pytest.raises(ContractError):
+                masked_attention(x, w, 2, None, rows)
+
     def test_repeated_backward_doubles_every_gradient(self):
         # a backward that overwrote an array its node saved would make the
         # second pass differ from the first
@@ -283,6 +309,18 @@ class TestChunkedAttention:
             for chunked, unfused in zip(*results):
                 assert np.array_equal(chunked, unfused)
 
+    @pytest.mark.parametrize("per_chunk", [1, 3])
+    @pytest.mark.parametrize("mode", list(MessagePassingMode))
+    def test_rows_match_unfused_rows_bit_for_bit(self, monkeypatch, mode, per_chunk):
+        rng = np.random.default_rng(20)
+        rows = TokenLayout(mode, self.N, self.M).head_rows
+        tq = rows.stop - rows.start
+        for heads in (1, 2, 4):
+            mask, x, w, _ = self.setup(monkeypatch, rng, mode, heads, per_chunk)
+            t = x.shape[1]
+            monkeypatch.setattr(attention, "_CHUNK_ELEMS", per_chunk * heads * tq * t)
+            assert_rows_match_unfused(x, w, heads, mask, rows, rng)
+
     def test_repeated_backward_doubles_every_gradient(self, monkeypatch):
         # the first backward leaves chunk 0's probabilities in the buffer, so
         # the second must recompute the last chunk instead of reusing it
@@ -320,6 +358,28 @@ class TestChunkedAttention:
                 todo += list(obj)
         assert any(a.shape == (1, heads, t, t) for a in arrays)   # the chunk buffer
         assert all(a.size < full for a in arrays)
+
+
+def assert_rows_match_unfused(x, w, heads, mask, rows, rng):
+    """``masked_attention`` on the query ``rows`` against the same rows of the
+    all-rows composition: outputs and every gradient, bit for bit."""
+    b, _, d = x.shape
+    count = rows.stop - rows.start
+    c = Tensor(rng.standard_normal((b, count, d)))
+    params = [x] + list(w.named("attn").values())
+    results = []
+    for attend in (lambda: masked_attention(x, w, heads, mask, rows),
+                   lambda: T.narrow(unfused_attention(x, w, heads, mask), 1,
+                                    rows.start, count)):
+        T.clear_tape()
+        for p in params:
+            p.zero_grad()
+        out = attend()
+        T.backward(T.sum_all(out * c))
+        results.append([out.data] + [p.grad for p in params])
+    assert results[0][0].shape == (b, count, d)
+    for fused, unfused in zip(*results):
+        assert np.array_equal(fused, unfused)
 
 
 def attention_support_counts(mode, n, m, rng, heads=2, d=8):

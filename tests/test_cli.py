@@ -161,6 +161,22 @@ class TestTrain:
         assert "seed=9" in man
         assert "iterations_1=1" in man
 
+    def test_manifest_pins_resolved_defaults(self, data_dir, tmp_path):
+        # lr = 0.01 and momentum = 0.9 are the defaults, spelled differently
+        cfg = write_train_cfg(tmp_path / "t.cfg", data_dir)
+        spelled = write_train_cfg(tmp_path / "s.cfg", data_dir, lr="1e-2",
+                                  momentum="0.90")
+        manifests = []
+        for path, sub in ((cfg, "a"), (spelled, "b")):
+            out = tmp_path / sub
+            assert main(["train", "--config", str(path), "--out", str(out)]) == 0
+            manifests.append((out / "manifest.txt").read_text())
+        assert manifests[0] == manifests[1]
+        lines = manifests[0].strip().split("\n")
+        assert len(lines) == 21 + 1
+        assert "batch_size=8" in lines and "lambda_max=1.0" in lines
+        assert "mode=samb-d" in lines and "gumbel_noise=false" in lines
+
     def test_deterministic_across_invocations(self, data_dir, tmp_path):
         cfg = write_train_cfg(tmp_path / "t.cfg", data_dir)
         outs = []
@@ -184,6 +200,19 @@ class TestTrain:
         cfg = write_train_cfg(tmp_path / "t.cfg", hostile)
         assert main(["train", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 4
+
+    def test_zero_channel_dataset_exit_4(self, data_dir, tmp_path, capsys):
+        hostile = tmp_path / "data"
+        shutil.copytree(data_dir, hostile)
+        for name in ("source_train", "source_eval", "target_train", "target_eval"):
+            ds = Dataset.load(hostile / f"{name}.sdsh", name.split("_")[0])
+            Dataset(images=ds.images[:, :0], labels=ds.labels, domain=ds.domain,
+                    sample_ids=ds.sample_ids,
+                    num_classes=ds.num_classes).save(hostile / f"{name}.sdsh")
+        cfg = write_train_cfg(tmp_path / "t.cfg", hostile)
+        assert main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 4
+        assert "zero dimension" in capsys.readouterr().err
 
     def test_empty_training_split_exit_2(self, data_dir, tmp_path, capsys):
         empty = tmp_path / "data"
@@ -272,8 +301,8 @@ class TestConfigKeys:
                    lambda_max="0.7", gamma="3.5", eval_every="5",
                    wallclock="yes")
         assert len(raw) == 21
-        cfg, data = train_config_from(raw, src)
-        assert data == "d"
+        cfg, resolved = train_config_from(raw, src)
+        assert resolved == dict(raw, gumbel_noise="false", wallclock="true")
         assert cfg == TrainConfig(
             model=ModelConfig(image_size=8, patch_size=2, in_channels=3,
                               embed_dim=12, depth=3, heads=3, mlp_ratio=2,
@@ -284,7 +313,8 @@ class TestConfigKeys:
             lr=0.05, momentum=0.5, weight_decay=0.001, batch_size=4, seed=7,
             grl=GrlConfig(lambda_max=0.7, gamma=3.5), eval_every=5,
             wallclock=True)
-        defaults, _ = train_config_from({"data_dir": "d"}, src)
+        defaults, resolved = train_config_from({"data_dir": "d"}, src)
+        assert sorted(resolved) == sorted(raw)
         assert defaults == TrainConfig(model=ModelConfig(image_size=8, in_channels=3,
                                                          num_classes=4))
 

@@ -146,6 +146,18 @@ class TestSdshFormat:
             Dataset.load(path)
         assert ei.value.offset == offset
 
+    @pytest.mark.parametrize("c, h, w", [(0, 16, 16), (3, 0, 16), (3, 16, 0)],
+                             ids=["C", "H", "W"])
+    def test_zero_image_dimension(self, tmp_path, c, h, w):
+        # n records of a 4-byte label each match the file length, so only the
+        # zero dimension is wrong
+        path = tmp_path / "z.sdsh"
+        path.write_bytes(b"SDSH" + struct.pack("<IIIIII", 1, 2, c, h, w, 4)
+                         + struct.pack("<II", 0, 1))
+        with pytest.raises(FormatError, match="zero dimension") as ei:
+            Dataset.load(path)
+        assert ei.value.offset == 12
+
     def test_label_out_of_range(self, tmp_path):
         ds = generate(tiny_spec(train_per_class=2, num_classes=2))["source_train"]
         path = tmp_path / "l.sdsh"
