@@ -56,8 +56,7 @@ class Discriminator:
         return list(self.named_params().values())
 
     def forward(self, feat: Tensor) -> Tensor:
-        h = T.gelu(T.linear(feat, self.w1, self.b1))
-        out = T.sigmoid(T.linear(h, self.w2, self.b2))
+        out = T.sigmoid(T.mlp(feat, self.w1, self.b1, self.w2, self.b2))
         return T.reshape(out, (feat.shape[0],))
 
 

@@ -232,7 +232,7 @@ def cmd_export_attn(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     grid = cfg.model.grid
     csv_path = os.path.join(args.out, "assignments.csv")
-    with open(csv_path, "w", newline="") as f:
+    with open(csv_path, "w", newline="") as f, T.no_grad():
         w = csv.writer(f)
         w.writerow(["sample_id", "layer", "token_index", "row", "col", "group"])
         for batch in batch_iter(data, 16, seed=0, shuffle=False):
@@ -251,7 +251,6 @@ def cmd_export_attn(args) -> int:
                 with open(os.path.join(args.out, f"sample_{int(sid):05d}.txt"),
                           "w") as g:
                     g.write("\n".join(lines) + "\n")
-            T.clear_tape()
     return 0
 
 

@@ -180,17 +180,24 @@ class VitSamb:
                           rng: Optional[np.random.Generator]) -> GroupAssignment:
         """Gumbel assignment from this layer's own projections.
 
-        Logits are the full-dimension Q_p.K_g products; the resulting hard
+        Logits are the full-dimension Q_p.K_g products, with Q projected on
+        the M patch rows and K on the N group rows only; the resulting hard
         mask enters attention as a constant so the loss stays locally
         differentiable in every parameter.
         """
         cfg = self.cfg
         layout = cfg.layout
-        gs, ps = layout.group_start, layout.patch_start
-        q = np.matmul(x.data, attn.wq.data) + attn.bq.data
-        k = np.matmul(x.data, attn.wk.data) + attn.bk.data
-        qp = q[:, ps:, :]
-        kg = k[:, gs:gs + cfg.num_group_tokens, :]
+
+        def project(w: Tensor, b: Tensor, start: int, count: int) -> np.ndarray:
+            # rows [start, start + count) of x @ w + b; at least two rows go
+            # through the product, since numpy sends one row to BLAS's gemv,
+            # which rounds differently from the gemm of more rows
+            lo = min(start, x.shape[1] - 2)
+            y = np.matmul(x.data[:, lo:max(start + count, lo + 2)], w.data) + b.data
+            return y[:, start - lo:start - lo + count]
+
+        qp = project(attn.wq, attn.bq, layout.patch_start, cfg.num_patches)
+        kg = project(attn.wk, attn.bk, layout.group_start, cfg.num_group_tokens)
         logits = np.matmul(qp, np.swapaxes(kg, -1, -2)) / np.sqrt(cfg.embed_dim)
         gcfg = cfg.gumbel
         if not train:
@@ -239,8 +246,7 @@ class VitSamb:
                 x = T.narrow(x, 1, head.start, head.stop - head.start)
             x = x + a
             h = T.layer_norm(x, blk["ln2_g"], blk["ln2_b"])
-            h = T.gelu(T.linear(h, blk["mlp_w1"], blk["mlp_b1"]))
-            x = x + T.linear(h, blk["mlp_w2"], blk["mlp_b2"])
+            x = x + T.mlp(h, blk["mlp_w1"], blk["mlp_b1"], blk["mlp_w2"], blk["mlp_b2"])
         x = T.layer_norm(x, self.ln_f_g, self.ln_f_b)        # [B, head rows, d]
 
         if cfg.mode.has_group_tokens:

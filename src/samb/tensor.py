@@ -5,8 +5,8 @@ node to the ambient tape, in execution order, so the node list is
 topologically sorted by construction.  ``backward`` walks it once in
 reverse.  The tape is the graph's only owner (a tensor holds no reference
 to the node that produced it), so ``clear_tape`` frees the graph at once.
-Training clears it at the start of each step, inference paths after each
-batch.
+Training clears it at the start of each step; inference paths run under
+``no_grad`` and record nothing.
 
 Everything is float64 and row-major contiguous.  -inf is a legal tensor
 value; it flows through ``softmax`` as exact zero probability.
@@ -14,6 +14,7 @@ value; it flows through ``softmax`` as exact zero probability.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import struct
 from typing import Callable, Optional, Sequence
@@ -47,6 +48,7 @@ class GradientTape:
 
 
 _TAPE = GradientTape()
+_RECORDING = [True]
 
 
 def tape() -> GradientTape:
@@ -55,6 +57,21 @@ def tape() -> GradientTape:
 
 def clear_tape():
     _TAPE.clear()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no tape node inside the block; outputs then require no grad.
+
+    The previous state comes back on exit, also after an exception, so
+    blocks nest.
+    """
+    previous = _RECORDING[0]
+    _RECORDING[0] = False
+    try:
+        yield
+    finally:
+        _RECORDING[0] = previous
 
 
 class Tensor:
@@ -115,8 +132,9 @@ def _wrap(x) -> Tensor:
 
 def _record(output: Tensor, inputs: Sequence[Tensor],
             backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]):
-    """Append a tape node producing ``output`` if any input needs gradients."""
-    if any(t.requires_grad for t in inputs):
+    """Append a tape node producing ``output`` if any input needs gradients,
+    unless inside ``no_grad``."""
+    if _RECORDING[0] and any(t.requires_grad for t in inputs):
         output.requires_grad = True
         _TAPE.nodes.append(TapeNode(tuple(inputs), output, backward_fn))
     return output
@@ -213,6 +231,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), backward)
 
 
+def _affine(x: np.ndarray, w: Tensor, b: Tensor, op: str) -> np.ndarray:
+    """``x @ w + b`` for [d_in, d_out] ``w`` and [d_out] ``b``."""
+    if w.ndim != 2 or b.shape != (w.shape[1],):
+        raise DimensionError(f"{op}: weight {w.shape} and bias {b.shape} do not match")
+    y = counted_matmul(x, w.data)
+    y += b.data
+    return y
+
+
+def _affine_grads(x: np.ndarray, w: Tensor, b: Tensor, g: np.ndarray, need_x: bool):
+    """Gradients of ``x @ w + b`` for x (if ``need_x``), w and b; none for
+    a weight or bias that does not require one."""
+    gx = np.matmul(g, w.data.T) if need_x else None
+    gw = (_reduce_to(np.matmul(np.swapaxes(x, -1, -2), g), w.shape)
+          if w.requires_grad else None)
+    gb = _reduce_to(g, b.shape) if b.requires_grad else None
+    return gx, gw, gb
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` as one node, for [..., d_in] ``x``, [d_in, d_out] ``w``
     and [d_out] ``b``.
@@ -220,20 +257,29 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     Bit-identical to ``matmul`` followed by ``add``; the backward computes
     no gradient for an input that does not require one.
     """
-    if w.ndim != 2 or b.shape != (w.shape[1],):
-        raise DimensionError(f"linear: weight {w.shape} and bias {b.shape} do not match")
-    out_data = counted_matmul(x.data, w.data)
-    out_data += b.data
-    out = Tensor(out_data)
+    out = Tensor(_affine(x.data, w, b, "linear"))
+    return _record(out, (x, w, b),
+                   lambda g: _affine_grads(x.data, w, b, g, x.requires_grad))
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """``linear(gelu(linear(x, w1, b1)), w2, b2)`` as one node.
+
+    It keeps the hidden pre-activation, its GELU cdf and the GELU output, as
+    the three nodes would, and runs their numpy operations in their order,
+    so output and gradients are bit-identical to the composition.
+    """
+    a = _affine(x.data, w1, b1, "mlp")
+    cdf, h = _gelu_forward(a)
+    out = Tensor(_affine(h, w2, b2, "mlp"))
 
     def backward(g):
-        gx = np.matmul(g, w.data.T) if x.requires_grad else None
-        gw = (_reduce_to(np.matmul(np.swapaxes(x.data, -1, -2), g), w.shape)
-              if w.requires_grad else None)
-        gb = _reduce_to(g, b.shape) if b.requires_grad else None
-        return gx, gw, gb
+        gh, gw2, gb2 = _affine_grads(h, w2, b2, g, True)
+        gx, gw1, gb1 = _affine_grads(x.data, w1, b1, _gelu_backward(a, cdf, gh),
+                                     x.requires_grad)
+        return gx, gw1, gb1, gw2, gb2
 
-    return _record(out, (x, w, b), backward)
+    return _record(out, (x, w1, b1, w2, b2), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -319,17 +365,33 @@ def sigmoid(a: Tensor) -> Tensor:
     return _record(out, (a,), lambda g: (g * y * (1.0 - y),))
 
 
+def _gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cdf, x * cdf) of the exact erf GELU, not the tanh approximation.
+
+    The in-place steps round as ``0.5 * (1.0 + erf(x / sqrt 2))`` does.
+    """
+    cdf = x * _INV_SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    return cdf, x * cdf
+
+
+def _gelu_backward(x: np.ndarray, cdf: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``g * (cdf + x * pdf(x))`` in one new buffer; writes nothing else."""
+    gx = x * -0.5
+    gx *= x
+    np.exp(gx, out=gx)
+    gx *= _INV_SQRT2PI                          # pdf
+    gx *= x
+    gx += cdf
+    gx *= g
+    return gx
+
+
 def gelu(a: Tensor) -> Tensor:
-    # exact erf form, not the tanh approximation
-    x = a.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    out = Tensor(x * cdf)
-
-    def backward(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-        return (g * (cdf + x * pdf),)
-
-    return _record(out, (a,), backward)
+    cdf, y = _gelu_forward(a.data)
+    return _record(Tensor(y), (a,), lambda g: (_gelu_backward(a.data, cdf, g),))
 
 
 def log(a: Tensor) -> Tensor:
@@ -371,7 +433,13 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
-    """Normalize over the last axis, then affine-transform."""
+    """Normalize over the last axis, then affine-transform, as one node.
+
+    Means are ``np.add.reduce`` then ``/= d``, which is what ``ndarray.mean``
+    computes; with the in-place steps the bits are those of the plain
+    ``mean``/``sqrt``/affine expressions.  The backward writes only buffers
+    of its own, never the ``xhat`` and ``inv`` it reads.
+    """
     if eps <= 0:
         raise ContractError("layer_norm: eps must be > 0")
     if gamma.shape != (x.shape[-1],) or beta.shape != (x.shape[-1],):
@@ -379,20 +447,34 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
             f"layer_norm: affine params {gamma.shape}/{beta.shape} "
             f"do not match feature dim {x.shape[-1]}")
     d = x.shape[-1]
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = Tensor(gamma.data * xhat + beta.data)
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True)
+    mu /= d
+    xhat = x.data - mu                          # centred, then normalised below
+    y = xhat * xhat
+    inv = np.add.reduce(y, axis=-1, keepdims=True)
+    inv /= d                                    # variance
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    np.multiply(gamma.data, xhat, out=y)
+    y += beta.data
+    out = Tensor(y)
 
     def backward(g):
-        ggamma = (g * xhat).reshape(-1, d).sum(axis=0)
-        gbeta = g.reshape(-1, d).sum(axis=0)
-        gx_hat = g * gamma.data
-        gx = inv * (gx_hat
-                    - gx_hat.mean(axis=-1, keepdims=True)
-                    - xhat * (gx_hat * xhat).mean(axis=-1, keepdims=True))
+        gxhat = g * xhat
+        ggamma = np.add.reduce(gxhat.reshape(-1, d), axis=0)
+        gbeta = np.add.reduce(g.reshape(-1, d), axis=0)
+        gx = g * gamma.data
+        mean = np.add.reduce(gx, axis=-1, keepdims=True)
+        mean /= d
+        np.multiply(gx, xhat, out=gxhat)
+        proj = np.add.reduce(gxhat, axis=-1, keepdims=True)
+        proj /= d
+        gx -= mean
+        np.multiply(xhat, proj, out=gxhat)
+        gx -= gxhat
+        gx *= inv
         return gx, ggamma, gbeta
 
     return _record(out, (x, gamma, beta), backward)
@@ -499,6 +581,7 @@ def sgd_step(params: Sequence[Tensor], lr: float, momentum: float = 0.0,
 
 _CKPT_MAGIC = b"SAMB"
 _CKPT_VERSION = 1
+_CKPT_MAX_RANK = 32         # numpy 1.x caps array dimensions at 32, numpy 2 at 64
 
 
 def save_checkpoint(path, named_params: dict[str, Tensor]):
@@ -543,6 +626,8 @@ def load_checkpoint(path) -> dict[str, Tensor]:
         if off + 4 > len(blob):
             raise FormatError("truncated record rank", off)
         (rank,) = struct.unpack_from("<I", blob, off)
+        if rank > _CKPT_MAX_RANK:
+            raise FormatError(f"record rank {rank} exceeds {_CKPT_MAX_RANK}", off)
         off += 4
         if off + 4 * rank > len(blob):
             raise FormatError("truncated record dims", off)
@@ -556,7 +641,12 @@ def load_checkpoint(path) -> dict[str, Tensor]:
                               f"{len(blob) - off} remain", dims_off)
         if name in out:
             raise FormatError(f"duplicate record {name!r}", start)
-        data = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(dims)
+        try:
+            # numpy also rejects dims whose nonzero product overflows, even
+            # beside a zero dim that leaves the payload empty
+            data = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(dims)
+        except ValueError:
+            raise FormatError(f"record dims {dims} do not fit an array", dims_off) from None
         if not np.isfinite(data).all():
             raise FormatError(f"record {name!r} holds a non-finite value", start)
         off += nbytes

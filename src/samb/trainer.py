@@ -111,17 +111,17 @@ class MetricLog:
 
 
 def evaluate(model: VitSamb, dataset: Dataset, batch_size: int = 64) -> float:
-    """Top-1 accuracy with Gumbel noise disabled."""
+    """Top-1 accuracy with Gumbel noise disabled; records no tape."""
     if len(dataset) == 0:
         raise ConfigError(f"evaluate: the {dataset.domain} dataset is empty")
     if dataset.labels is None:
         raise ConfigError("evaluate needs a labeled dataset")
     correct = 0
-    for batch in batch_iter(dataset, batch_size, seed=0, shuffle=False):
-        out = model.forward(batch.images, train=False)
-        pred = np.argmax(out.logits.data, axis=1)
-        correct += int((pred == batch.labels).sum())
-        T.clear_tape()
+    with T.no_grad():
+        for batch in batch_iter(dataset, batch_size, seed=0, shuffle=False):
+            out = model.forward(batch.images, train=False)
+            pred = np.argmax(out.logits.data, axis=1)
+            correct += int((pred == batch.labels).sum())
     return correct / len(dataset)
 
 
@@ -189,16 +189,17 @@ class Trainer:
         T.save_checkpoint(path, self.named_params())
 
     def refresh_pseudo_labels(self):
-        """Weighted k-means + one refinement over the full target train set."""
+        """Weighted k-means + one refinement over the full target train set;
+        records no tape."""
         feats, probs = [], []
-        for batch in batch_iter(self.target_train, self.cfg.batch_size,
-                                seed=0, shuffle=False):
-            out = self.model.forward(batch.images, train=False)
-            feats.append(out.feature.data)
-            x = out.logits.data
-            e = np.exp(x - x.max(axis=1, keepdims=True))
-            probs.append(e / e.sum(axis=1, keepdims=True))
-            T.clear_tape()
+        with T.no_grad():
+            for batch in batch_iter(self.target_train, self.cfg.batch_size,
+                                    seed=0, shuffle=False):
+                out = self.model.forward(batch.images, train=False)
+                feats.append(out.feature.data)
+                x = out.logits.data
+                e = np.exp(x - x.max(axis=1, keepdims=True))
+                probs.append(e / e.sum(axis=1, keepdims=True))
         feats = np.concatenate(feats)
         probs = np.concatenate(probs)
         table = build_table(feats, probs, self.target_train.sample_ids)

@@ -105,10 +105,39 @@ def unfused_attention(tokens, w, n_heads: int, mask):
     return out @ w.wo + w.bo
 
 
+def unfused_layer_norm(x, gamma, beta, eps: float = 1e-6):
+    """``T.layer_norm`` as it was before it ran in place: ``mean``,
+    ``sqrt`` and the affine map as plain numpy expressions, each a new
+    array.  The in-place op must match it bit for bit."""
+    d = x.shape[-1]
+    mu = x.data.mean(axis=-1, keepdims=True)
+    xc = x.data - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+
+    def backward(g):
+        ggamma = (g * xhat).reshape(-1, d).sum(axis=0)
+        gbeta = g.reshape(-1, d).sum(axis=0)
+        gx_hat = g * gamma.data
+        gx = inv * (gx_hat
+                    - gx_hat.mean(axis=-1, keepdims=True)
+                    - xhat * (gx_hat * xhat).mean(axis=-1, keepdims=True))
+        return gx, ggamma, gbeta
+
+    return T.custom_op(gamma.data * xhat + beta.data, (x, gamma, beta), backward)
+
+
+def unfused_mlp(x, w1, b1, w2, b2):
+    """``T.mlp`` as its three nodes: ``linear``, ``gelu``, ``linear``."""
+    return T.linear(T.gelu(T.linear(x, w1, b1)), w2, b2)
+
+
 def unpruned_forward(model, images, train: bool = False, rng=None):
     """``VitSamb.forward`` with every block computing every token row, as it
-    did before the last block was pruned to the rows the head reads.  The
-    pruned forward must match it bit for bit at desk scale."""
+    did before the last block was pruned to the rows the head reads, and
+    with the unfused layer norm and MLP.  The pruned forward must match it
+    bit for bit at desk scale."""
     cfg = model.cfg
     b = images.shape[0]
     d = cfg.embed_dim
@@ -127,7 +156,7 @@ def unpruned_forward(model, images, train: bool = False, rng=None):
     static_mask = mode_masks(cfg.mode, n, m) if not cfg.mode.dynamic else None
     assignments = []
     for blk in model.blocks:
-        h = T.layer_norm(x, blk["ln1_g"], blk["ln1_b"])
+        h = unfused_layer_norm(x, blk["ln1_g"], blk["ln1_b"])
         if cfg.mode.dynamic:
             assignment = model._layer_assignment(h, blk["attn"], train, rng)
             assignments.append(assignment)
@@ -135,10 +164,9 @@ def unpruned_forward(model, images, train: bool = False, rng=None):
         else:
             mask = static_mask
         x = x + masked_attention(h, blk["attn"], cfg.heads, mask)
-        h = T.layer_norm(x, blk["ln2_g"], blk["ln2_b"])
-        h = T.gelu(T.linear(h, blk["mlp_w1"], blk["mlp_b1"]))
-        x = x + T.linear(h, blk["mlp_w2"], blk["mlp_b2"])
-    x = T.layer_norm(x, model.ln_f_g, model.ln_f_b)
+        h = unfused_layer_norm(x, blk["ln2_g"], blk["ln2_b"])
+        x = x + unfused_mlp(h, blk["mlp_w1"], blk["mlp_b1"], blk["mlp_w2"], blk["mlp_b2"])
+    x = unfused_layer_norm(x, model.ln_f_g, model.ln_f_b)
 
     if cfg.mode.has_group_tokens:
         xg = T.narrow(x, 1, cfg.layout.group_start, n)

@@ -393,6 +393,19 @@ class TestExportAttn:
         assert csv_lines[0] == "sample_id,layer,token_index,row,col,group"
         assert len(csv_lines) == 1 + len(ds) * 4  # one row per image token
 
+    def test_records_no_tape(self, data_dir, tmp_path):
+        cfg_path = write_train_cfg(tmp_path / "t.cfg", data_dir)
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(cfg_path), "--out", str(run)]) == 0
+        w = T.Tensor(np.ones(3), requires_grad=True)
+        T.sum_all(w)
+        nodes = list(T.tape().nodes)
+        assert main(["export-attn", "--checkpoint", str(run / "checkpoint_stage1.samb"),
+                     "--config", str(cfg_path),
+                     "--data", str(data_dir / "target_eval.sdsh"),
+                     "--out", str(tmp_path / "attn")]) == 0
+        assert T.tape().nodes == nodes
+
     def test_static_mode_exit_2(self, data_dir, tmp_path):
         cfg = write_train_cfg(tmp_path / "t.cfg", data_dir)
         run = tmp_path / "run"
@@ -414,3 +427,15 @@ class TestExportAttn:
                      "--config", str(cfg),
                      "--data", str(data_dir / "target_eval.sdsh"),
                      "--out", str(tmp_path / "a")]) == 4
+
+    def test_checkpoint_rank_beyond_numpy_limit_exit_4(self, data_dir, tmp_path, capsys):
+        # one record "w" of rank 65 and one payload value; reshape would fail
+        cfg = write_train_cfg(tmp_path / "t.cfg", data_dir)
+        bad = tmp_path / "bad.samb"
+        bad.write_bytes(b"SAMB" + struct.pack("<2I", 1, 1) + b"w"
+                        + struct.pack("<66I", 65, *(1,) * 65) + bytes(8))
+        assert main(["export-attn", "--checkpoint", str(bad),
+                     "--config", str(cfg),
+                     "--data", str(data_dir / "target_eval.sdsh"),
+                     "--out", str(tmp_path / "a")]) == 4
+        assert "rank 65" in capsys.readouterr().err

@@ -186,6 +186,24 @@ class TestPrunedLastBlock:
                 assert rel_err(pruned[key], value) < 1e-12, key
 
 
+class TestLayerAssignment:
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    @pytest.mark.parametrize("mode", [m for m in MessagePassingMode if m.dynamic])
+    def test_logits_equal_the_all_rows_projection(self, mode, n):
+        # Q is projected on the patch rows and K on the group rows only
+        model = VitSamb(small_cfg(mode=mode, num_group_tokens=n), np.random.default_rng(25))
+        layout = model.cfg.layout
+        x = T.Tensor(np.random.default_rng(26).standard_normal((4, layout.total, 16)))
+        attn = model.blocks[0]["attn"]
+        q = np.matmul(x.data, attn.wq.data) + attn.bq.data
+        k = np.matmul(x.data, attn.wk.data) + attn.bk.data
+        qp = q[:, layout.patch_start:, :]
+        kg = k[:, layout.group_start:layout.group_start + n, :]
+        expected = np.matmul(qp, np.swapaxes(kg, -1, -2)) / np.sqrt(16)
+        logits = model._layer_assignment(x, attn, train=False, rng=None).perturbed.data
+        assert np.array_equal(logits, expected)
+
+
 class TestComplexity:
     def test_group_token_param_delta(self):
         d, n = 32, 4

@@ -11,7 +11,7 @@ from samb.errors import (ContractError, DegenerateMaskError, DimensionError,
                          FormatError)
 from samb.tensor import Tensor
 
-from helpers import check_grad
+from helpers import check_grad, unfused_layer_norm, unfused_mlp
 
 
 @pytest.fixture(autouse=True)
@@ -207,6 +207,117 @@ class TestElementwise:
         assert check_grad(lambda: T.sum_all(op(x) * c), x, step=1e-5) < 1e-4
 
 
+FUSED_SHAPES = [(16, 20, 16), (8, 260, 16), (16, 16)]
+
+
+def leaf(rng, *shape):
+    return Tensor(rng.standard_normal(shape), requires_grad=True)
+
+
+def output_and_grads(op, inputs, c, backwards=1):
+    """The op's output and every input gradient after ``backwards`` backward
+    passes of ``sum(op(*inputs) * c)``."""
+    T.clear_tape()
+    for t in inputs:
+        t.zero_grad()
+    out = op(*inputs)
+    loss = T.sum_all(out * c)
+    for _ in range(backwards):
+        T.backward(loss)
+    return [out.data] + [t.grad for t in inputs]
+
+
+class TestFusedLayerNormAndMlp:
+    """The in-place layer norm and the one-node MLP against the expressions
+    and nodes they replace, bit for bit."""
+
+    @staticmethod
+    def layer_norm_inputs(shape):
+        rng = np.random.default_rng(sum(shape))
+        d = shape[-1]
+        return [leaf(rng, *shape), leaf(rng, d), leaf(rng, d)], Tensor(rng.standard_normal(shape))
+
+    @staticmethod
+    def mlp_inputs(shape):
+        rng = np.random.default_rng(sum(shape) + 1)
+        d = shape[-1]
+        inputs = [leaf(rng, *shape), leaf(rng, d, 4 * d), leaf(rng, 4 * d),
+                  leaf(rng, 4 * d, d), leaf(rng, d)]
+        return inputs, Tensor(rng.standard_normal(shape))
+
+    @pytest.mark.parametrize("shape", FUSED_SHAPES)
+    def test_layer_norm_bit_identical_to_unfused(self, shape):
+        inputs, c = self.layer_norm_inputs(shape)
+        fused = output_and_grads(T.layer_norm, inputs, c)
+        reference = output_and_grads(unfused_layer_norm, inputs, c)
+        for a, b in zip(fused, reference):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("shape", FUSED_SHAPES)
+    def test_mlp_bit_identical_to_three_nodes(self, shape):
+        inputs, c = self.mlp_inputs(shape)
+        fused = output_and_grads(T.mlp, inputs, c)
+        assert len(T.tape().nodes) == 3          # mlp, mul and sum_all
+        reference = output_and_grads(unfused_mlp, inputs, c)
+        for a, b in zip(fused, reference):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("op", ["layer_norm", "mlp"])
+    def test_second_backward_doubles_every_gradient(self, op):
+        # a backward that wrote into what its node saved would change the
+        # second pass
+        inputs, c = getattr(self, f"{op}_inputs")((4, 5, 8))
+        once = output_and_grads(getattr(T, op), inputs, c)[1:]
+        twice = output_and_grads(getattr(T, op), inputs, c, backwards=2)[1:]
+        for a, b in zip(once, twice):
+            assert np.array_equal(2 * a, b)
+
+    def test_mlp_weight_mismatch(self):
+        rng = np.random.default_rng(13)
+        x, w1, b1, w2 = leaf(rng, 2, 4), leaf(rng, 4, 8), leaf(rng, 8), leaf(rng, 8, 4)
+        with pytest.raises(DimensionError, match="mlp"):
+            T.mlp(x, w1, b1, w2, leaf(rng, 3))
+
+
+class TestNoGrad:
+    def test_records_nothing_inside(self):
+        w = Tensor(np.ones(3), requires_grad=True)
+        with T.no_grad():
+            out = T.sum_all(T.gelu(w) * 2.0)
+        assert T.tape().nodes == []
+        assert not out.requires_grad
+        assert T.sum_all(w).requires_grad       # recording resumes after the block
+        assert len(T.tape().nodes) == 1
+
+    def test_restored_after_exception(self):
+        w = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(DimensionError):
+            with T.no_grad():
+                w + Tensor(np.ones(4))
+        T.sum_all(w)
+        assert len(T.tape().nodes) == 1
+
+    def test_nested_blocks_restore_the_outer_state(self):
+        w = Tensor(np.ones(3), requires_grad=True)
+        with T.no_grad():
+            with T.no_grad():
+                T.sum_all(w)
+            T.sum_all(w)
+        assert T.tape().nodes == []
+        T.sum_all(w)
+        assert len(T.tape().nodes) == 1
+
+    def test_leaves_an_existing_tape_untouched(self):
+        w = Tensor(np.ones(3), requires_grad=True)
+        loss = T.sum_all(w * w)
+        nodes = list(T.tape().nodes)
+        with T.no_grad():
+            T.sum_all(w * 3.0)
+        assert T.tape().nodes == nodes
+        T.backward(loss)
+        assert np.array_equal(w.grad, 2 * np.ones(3))
+
+
 class TestBackward:
     def test_sum_gives_ones(self):
         w = Tensor(np.random.default_rng(9).standard_normal((3, 4)),
@@ -385,3 +496,30 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="UTF-8") as ei:
             T.load_checkpoint(path)
         assert ei.value.offset == 12
+
+    @pytest.mark.parametrize("dims", [(1,) * 65, (1,) * 64 + (0,),
+                                      (0xFFFFFFFF,) * 1200],
+                             ids=["rank65-ones", "rank65-zero-dim", "rank1200"])
+    def test_rank_beyond_numpy_limit(self, tmp_path, dims):
+        # each used to end in a bare ValueError: from reshape for rank 65,
+        # and from formatting a 11560-digit byte count for rank 1200
+        path = tmp_path / "ckpt.samb"
+        name = b"w"
+        count = math.prod(dims)
+        path.write_bytes(b"SAMB" + struct.pack("<I", 1) + struct.pack("<I", len(name))
+                         + name + struct.pack(f"<{1 + len(dims)}I", len(dims), *dims)
+                         + b"\x00" * 8 * min(count, 1))
+        with pytest.raises(FormatError, match="rank") as ei:
+            T.load_checkpoint(path)
+        assert ei.value.offset == 8 + 4 + len(name)
+
+    def test_zero_dim_beside_dims_that_overflow(self, tmp_path):
+        # the payload is empty, but numpy refuses dims whose nonzero product
+        # overflows, which used to end in a bare ValueError
+        path = tmp_path / "ckpt.samb"
+        name = b"w"
+        path.write_bytes(b"SAMB" + struct.pack("<I", 1) + struct.pack("<I", len(name))
+                         + name + struct.pack("<5I", 4, 0, *(0xFFFFFFFF,) * 3))
+        with pytest.raises(FormatError, match="do not fit") as ei:
+            T.load_checkpoint(path)
+        assert ei.value.offset == 8 + 4 + len(name) + 4
