@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -251,13 +251,16 @@ class AttentionWeights:
 
 
 def masked_attention(tokens: Tensor, weights: AttentionWeights, n_heads: int,
-                     mask: Optional[np.ndarray], rows: slice = slice(None)) -> Tensor:
+                     mask: Union[np.ndarray, Callable[[np.ndarray, np.ndarray], np.ndarray]],
+                     rows: slice = slice(None)) -> Tensor:
     """Multi-head attention over [B, T, d] tokens with one shared additive
     score mask per sequence (the same mask for every head).
 
-    Only the query rows in the contiguous slice ``rows`` are computed, against
-    keys and values of every token: the output is [B, len(rows), d], the
-    matching rows of the all-rows output, with the same bits.
+    ``mask`` is a [T, T] or [B, T, T] array, or a function of the [B, T, d]
+    q and k arrays this call projects, called once before attending, that
+    returns one.  Only the query rows in the contiguous slice ``rows`` attend,
+    against keys and values of every token: the output is [B, len(rows), d],
+    the matching rows of the all-rows output, with the same bits.
     """
     b, t, d = tokens.shape
     if d % n_heads != 0:
@@ -265,17 +268,18 @@ def masked_attention(tokens: Tensor, weights: AttentionWeights, n_heads: int,
     start, stop, step = rows.indices(t)
     if step != 1 or start >= stop:
         raise ContractError(f"attention: rows {rows} are not a non-empty contiguous slice")
-    queries = tokens if stop - start == t else T.narrow(tokens, 1, start, stop - start)
-    q = T.linear(queries, weights.wq, weights.bq)
+    q = T.linear(tokens, weights.wq, weights.bq)
     k = T.linear(tokens, weights.wk, weights.bk)
     v = T.linear(tokens, weights.wv, weights.bv)
-    if mask is not None:
-        mask = np.asarray(mask)
-        if mask.ndim == 2:
-            mask = mask[None, None, :, :]
-        elif mask.ndim == 3:                     # per-sequence masks
-            mask = mask[:, None, :, :]
-        mask = mask[..., start:stop, :]
+    mask = np.asarray(mask(q.data, k.data) if callable(mask) else mask)
+    if mask.shape not in ((t, t), (b, t, t)):
+        raise DimensionError(f"attention: mask {mask.shape} fits neither [T, T] "
+                             f"nor [B, T, T] of tokens {tokens.shape}")
+    # [B, 1, Tq, T]: one mask per sequence, broadcast over the heads
+    mask = np.broadcast_to(mask.reshape(-1, 1, t, t)[..., start:stop, :],
+                           (b, 1, stop - start, t))
+    if stop - start < t:
+        q = T.narrow(q, 1, start, stop - start)
     out = _attend(q, k, v, n_heads, mask)
     return T.linear(out, weights.wo, weights.bo)
 
@@ -286,10 +290,10 @@ _CHUNK_ELEMS = 1 << 17
 
 
 def _attend(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
-            mask: Optional[np.ndarray]) -> Tensor:
+            mask: np.ndarray) -> Tensor:
     """softmax(q_h k_h^T / sqrt(dh) + mask) v_h per head, merged back to
-    [B, Tq, d], as one tape node, for [B, Tq, d] ``q`` and [B, Tk, d] ``k``
-    and ``v``.
+    [B, Tq, d], as one tape node, for [B, Tq, d] ``q``, [B, Tk, d] ``k``
+    and ``v``, and a [B, 1, Tq, Tk] ``mask``.
 
     The [B, H, Tq, Tk] scores never exist at once: each chunk of at most
     ``_CHUNK_ELEMS`` elements is scaled, masked and normalised in place in
@@ -312,15 +316,6 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     def merge(y: np.ndarray) -> np.ndarray:      # [B, H, t, dh] -> [B, t, d]
         return y.transpose(0, 2, 1, 3).reshape(b, y.shape[2], d)
 
-    shape = (b, n_heads, tq, tk)
-    if mask is not None:
-        try:
-            fits = np.broadcast_shapes(mask.shape, shape) == shape
-        except ValueError:
-            fits = False
-        if not fits:
-            raise DimensionError(
-                f"attention: mask {mask.shape} does not broadcast to scores {shape}")
     qh = np.ascontiguousarray(split(q.data))
     kt = np.ascontiguousarray(split(k.data).transpose(0, 1, 3, 2))
     vh = np.ascontiguousarray(split(v.data))
@@ -334,8 +329,7 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     def scores(sl: slice, matmul) -> np.ndarray:
         y = matmul(qh[sl], kt[sl], out=buf[:sl.stop - sl.start])
         y *= scale
-        if mask is not None:
-            y += mask[sl] if mask.ndim == 4 and mask.shape[0] > 1 else mask
+        y += mask[sl]
         return y
 
     out = np.empty((b, n_heads, tq, dh))

@@ -110,6 +110,11 @@ class Dataset:
             raise FormatError(f"sample {i} has label {int(raw_labels[i])} "
                               f"outside [0, {ncls})",
                               _HEADER_BYTES + i * sample_bytes)
+        bad = np.flatnonzero(~np.isfinite(records["pixels"]).all(axis=(1, 2, 3)))
+        if bad.size:
+            i = int(bad[0])
+            raise FormatError(f"sample {i} has a non-finite pixel",
+                              _HEADER_BYTES + i * sample_bytes)
         labels = np.where(unlabeled, -1, raw_labels.astype(np.int64))
         # an empty split loads as labelled, so it is reported as empty
         return Dataset(images=records["pixels"].astype(np.float32),

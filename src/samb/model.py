@@ -176,28 +176,19 @@ class VitSamb:
         x = x.transpose(0, 2, 4, 3, 5, 1)        # [B, gh, gw, p, p, C]
         return x.reshape(b, g * g, p * p * c)
 
-    def _layer_assignment(self, x: Tensor, attn: AttentionWeights, train: bool,
+    def _layer_assignment(self, q: np.ndarray, k: np.ndarray, train: bool,
                           rng: Optional[np.random.Generator]) -> GroupAssignment:
-        """Gumbel assignment from this layer's own projections.
+        """Gumbel assignment from this layer's own attention projections.
 
-        Logits are the full-dimension Q_p.K_g products, with Q projected on
-        the M patch rows and K on the N group rows only; the resulting hard
-        mask enters attention as a constant so the loss stays locally
-        differentiable in every parameter.
+        Logits are the full-dimension Q_p.K_g products of the M patch rows of
+        ``q`` with the N group rows of ``k``, the [B, T, d] projections that
+        ``masked_attention`` made; the resulting hard mask enters attention as
+        a constant so the loss stays locally differentiable in every parameter.
         """
         cfg = self.cfg
         layout = cfg.layout
-
-        def project(w: Tensor, b: Tensor, start: int, count: int) -> np.ndarray:
-            # rows [start, start + count) of x @ w + b; at least two rows go
-            # through the product, since numpy sends one row to BLAS's gemv,
-            # which rounds differently from the gemm of more rows
-            lo = min(start, x.shape[1] - 2)
-            y = np.matmul(x.data[:, lo:max(start + count, lo + 2)], w.data) + b.data
-            return y[:, start - lo:start - lo + count]
-
-        qp = project(attn.wq, attn.bq, layout.patch_start, cfg.num_patches)
-        kg = project(attn.wk, attn.bk, layout.group_start, cfg.num_group_tokens)
+        qp = q[:, layout.patch_start:]
+        kg = k[:, layout.group_start:layout.patch_start]
         logits = np.matmul(qp, np.swapaxes(kg, -1, -2)) / np.sqrt(cfg.embed_dim)
         gcfg = cfg.gumbel
         if not train:
@@ -225,20 +216,19 @@ class VitSamb:
         parts.append(x)
         x = T.concat(parts, axis=1) if len(parts) > 1 else x
 
-        static_mask = (mode_masks(cfg.mode, n, m)
-                       if not cfg.mode.dynamic else None)
         assignments: list[GroupAssignment] = []
+        if cfg.mode.dynamic:
+            def mask(q: np.ndarray, k: np.ndarray) -> np.ndarray:
+                assignment = self._layer_assignment(q, k, train, rng)
+                assignments.append(assignment)
+                return mode_masks(cfg.mode, n, m, assignment.hard)
+        else:
+            mask = mode_masks(cfg.mode, n, m)
         # the last block computes only the rows the head reads; its keys and
         # values still cover every token
         head = layout.head_rows
         for i, blk in enumerate(self.blocks):
             h = T.layer_norm(x, blk["ln1_g"], blk["ln1_b"])
-            if cfg.mode.dynamic:
-                assignment = self._layer_assignment(h, blk["attn"], train, rng)
-                assignments.append(assignment)
-                mask = mode_masks(cfg.mode, n, m, assignment.hard)
-            else:
-                mask = static_mask
             last = i == cfg.depth - 1
             a = masked_attention(h, blk["attn"], cfg.heads, mask,
                                  head if last else slice(None))
@@ -274,7 +264,7 @@ class VitSamb:
         flops = 2.0 * batch * m * p2c * d                      # patch embedding
 
         def block(rows: int) -> float:                         # rows: query rows
-            return (2.0 * batch * (rows + 2 * t) * d * d       # q; k, v on all
+            return (3 * 2.0 * batch * t * d * d                # q, k, v on all
                     + 2 * 2.0 * batch * rows * t * d           # scores, probs @ v
                     + 2.0 * batch * rows * d * d               # output projection
                     + 2 * 2.0 * batch * rows * d * cfg.mlp_ratio * d)  # mlp

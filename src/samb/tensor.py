@@ -26,6 +26,7 @@ from .errors import ContractError, DegenerateMaskError, DimensionError, FormatEr
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_LN_EPS = 1e-6              # added to the layer-norm variance
 
 
 class TapeNode:
@@ -115,9 +116,6 @@ class Tensor:
         if isinstance(other, (int, float)):
             return scale(self, other)
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
 
     def __neg__(self):
         return scale(self, -1.0)
@@ -432,7 +430,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _record(out, (a,), backward)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize over the last axis, then affine-transform, as one node.
 
     Means are ``np.add.reduce`` then ``/= d``, which is what ``ndarray.mean``
@@ -440,8 +438,6 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     ``mean``/``sqrt``/affine expressions.  The backward writes only buffers
     of its own, never the ``xhat`` and ``inv`` it reads.
     """
-    if eps <= 0:
-        raise ContractError("layer_norm: eps must be > 0")
     if gamma.shape != (x.shape[-1],) or beta.shape != (x.shape[-1],):
         raise DimensionError(
             f"layer_norm: affine params {gamma.shape}/{beta.shape} "
@@ -453,7 +449,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     y = xhat * xhat
     inv = np.add.reduce(y, axis=-1, keepdims=True)
     inv /= d                                    # variance
-    inv += eps
+    inv += _LN_EPS
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     xhat *= inv

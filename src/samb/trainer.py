@@ -110,19 +110,31 @@ class MetricLog:
                             f"{r.seconds:.6f}"])
 
 
+def _infer(model: VitSamb, dataset: Dataset,
+           batch_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Logits and features of every sample, in order, with Gumbel noise
+    disabled; records no tape.  Non-finite values raise NumericError."""
+    logits, feats = [], []
+    with T.no_grad():
+        for batch in batch_iter(dataset, batch_size, seed=0, shuffle=False):
+            out = model.forward(batch.images, train=False)
+            logits.append(out.logits.data)
+            feats.append(out.feature.data)
+    logits, feats = np.concatenate(logits), np.concatenate(feats)
+    if not (np.isfinite(logits).all() and np.isfinite(feats).all()):
+        raise NumericError(f"the forward over the {dataset.domain} split "
+                           "gave non-finite logits or features")
+    return logits, feats
+
+
 def evaluate(model: VitSamb, dataset: Dataset, batch_size: int = 64) -> float:
     """Top-1 accuracy with Gumbel noise disabled; records no tape."""
     if len(dataset) == 0:
         raise ConfigError(f"evaluate: the {dataset.domain} dataset is empty")
     if dataset.labels is None:
         raise ConfigError("evaluate needs a labeled dataset")
-    correct = 0
-    with T.no_grad():
-        for batch in batch_iter(dataset, batch_size, seed=0, shuffle=False):
-            out = model.forward(batch.images, train=False)
-            pred = np.argmax(out.logits.data, axis=1)
-            correct += int((pred == batch.labels).sum())
-    return correct / len(dataset)
+    logits, _ = _infer(model, dataset, batch_size)
+    return int((np.argmax(logits, axis=1) == dataset.labels).sum()) / len(dataset)
 
 
 def _cycle(dataset: Dataset, batch_size: int, seed: int):
@@ -191,17 +203,8 @@ class Trainer:
     def refresh_pseudo_labels(self):
         """Weighted k-means + one refinement over the full target train set;
         records no tape."""
-        feats, probs = [], []
-        with T.no_grad():
-            for batch in batch_iter(self.target_train, self.cfg.batch_size,
-                                    seed=0, shuffle=False):
-                out = self.model.forward(batch.images, train=False)
-                feats.append(out.feature.data)
-                x = out.logits.data
-                e = np.exp(x - x.max(axis=1, keepdims=True))
-                probs.append(e / e.sum(axis=1, keepdims=True))
-        feats = np.concatenate(feats)
-        probs = np.concatenate(probs)
+        logits, feats = _infer(self.model, self.target_train, self.cfg.batch_size)
+        probs = T.softmax(T.Tensor(logits), axis=1).data
         table = build_table(feats, probs, self.target_train.sample_ids)
         if len(np.unique(table.labels)) == 1:
             print("warning: degenerate pseudo-labels (single class)", file=sys.stderr)

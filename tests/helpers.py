@@ -3,7 +3,7 @@
 import numpy as np
 
 import samb.tensor as T
-from samb.attention import masked_attention, mode_masks
+from samb.attention import GumbelConfig, gumbel_assign, masked_attention, mode_masks
 from samb.model import ForwardResult
 
 
@@ -63,11 +63,9 @@ def dense_attention_oracle(x: np.ndarray, w, n_heads: int, mask) -> np.ndarray:
     q, k, v = proj(w.wq, w.bq), proj(w.wk, w.bk), proj(w.wv, w.bv)
     out = np.empty((b, n_heads, t, dh))
     for bi in range(b):
-        m2 = mask if mask is None or mask.ndim == 2 else mask[bi]
+        m2 = mask if mask.ndim == 2 else mask[bi]
         for h in range(n_heads):
-            scores = q[bi, h] @ k[bi, h].T / np.sqrt(dh)
-            if m2 is not None:
-                scores = scores + m2
+            scores = q[bi, h] @ k[bi, h].T / np.sqrt(dh) + m2
             probs = np.zeros_like(scores)
             for r in range(t):
                 row = scores[r]
@@ -93,13 +91,7 @@ def unfused_attention(tokens, w, n_heads: int, mask):
     k = split_heads(tokens @ w.wk + w.bk)
     v = split_heads(tokens @ w.wv + w.bv)
     scores = (q @ T.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
-    if mask is not None:
-        mask = np.asarray(mask)
-        if mask.ndim == 2:
-            mask = mask[None, None, :, :]
-        elif mask.ndim == 3:
-            mask = mask[:, None, :, :]
-        scores = scores + T.Tensor(mask)
+    scores = scores + T.Tensor(np.asarray(mask).reshape(-1, 1, t, t))
     probs = T.softmax(scores, axis=-1)
     out = T.reshape(T.transpose(probs @ v, (0, 2, 1, 3)), (b, t, d))
     return out @ w.wo + w.bo
@@ -135,10 +127,12 @@ def unfused_mlp(x, w1, b1, w2, b2):
 
 def unpruned_forward(model, images, train: bool = False, rng=None):
     """``VitSamb.forward`` with every block computing every token row, as it
-    did before the last block was pruned to the rows the head reads, and
-    with the unfused layer norm and MLP.  The pruned forward must match it
-    bit for bit at desk scale."""
+    did before the last block was pruned to the rows the head reads, with
+    the unfused layer norm and MLP, and with each Gumbel assignment computed
+    from raw numpy projections of every row instead of the attention's own.
+    The pruned forward must match it bit for bit at desk scale."""
     cfg = model.cfg
+    layout = cfg.layout
     b = images.shape[0]
     d = cfg.embed_dim
     n, m = cfg.num_group_tokens, cfg.num_patches
@@ -158,7 +152,13 @@ def unpruned_forward(model, images, train: bool = False, rng=None):
     for blk in model.blocks:
         h = unfused_layer_norm(x, blk["ln1_g"], blk["ln1_b"])
         if cfg.mode.dynamic:
-            assignment = model._layer_assignment(h, blk["attn"], train, rng)
+            attn = blk["attn"]
+            q = np.matmul(h.data, attn.wq.data) + attn.bq.data
+            k = np.matmul(h.data, attn.wk.data) + attn.bk.data
+            kg = k[:, layout.group_start:layout.patch_start]
+            logits = np.matmul(q[:, layout.patch_start:], np.swapaxes(kg, -1, -2)) / np.sqrt(d)
+            gcfg = cfg.gumbel if train else GumbelConfig(noise_enabled=False)
+            assignment = gumbel_assign(T.Tensor(logits), gcfg, rng)
             assignments.append(assignment)
             mask = mode_masks(cfg.mode, n, m, assignment.hard)
         else:

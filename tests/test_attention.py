@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from samb.attention import (AttentionWeights, GumbelConfig, MessagePassingMode,
                             TokenLayout, contiguous_regions, gumbel_assign,
                             handcrafted_mask, masked_attention, mode_masks)
 from samb.errors import (ConfigError, ContractError, DegenerateMaskError,
-                         NumericError)
+                         DimensionError, NumericError)
 from samb.tensor import Tensor
 
 from helpers import (check_grad, dense_attention_oracle, finite_diff_grad,
@@ -145,7 +147,7 @@ class TestMaskedAttention:
         x = Tensor(rng.standard_normal((1, 3, 8)))
         w = random_weights(rng, 8)
         out = masked_attention(x, w, 2, np.zeros((3, 3)))
-        oracle = dense_attention_oracle(x.data, w, 2, None)
+        oracle = dense_attention_oracle(x.data, w, 2, np.zeros((3, 3)))
         assert np.abs(out.data - oracle).max() < 1e-10
 
     @pytest.mark.parametrize("mode", list(MessagePassingMode))
@@ -253,7 +255,45 @@ class TestMaskedAttention:
         w = random_weights(rng, 8)
         for rows in (slice(0, 6, 2), slice(3, 3)):
             with pytest.raises(ContractError):
-                masked_attention(x, w, 2, None, rows)
+                masked_attention(x, w, 2, np.zeros((6, 6)), rows)
+
+    @pytest.mark.parametrize("rows", [slice(None), slice(2, 5)])
+    def test_mask_function_reads_the_node_projections(self, rows):
+        rng = np.random.default_rng(21)
+        mask = mode_masks(MessagePassingMode.SAMB_D, 2, 6, rng.integers(0, 2, size=(2, 6)))
+        x = Tensor(rng.standard_normal((2, 8, 8)), requires_grad=True)
+        w = random_weights(rng, 8)
+        params = [x] + list(w.named("attn").values())
+        calls = []
+
+        def mask_fn(q, k):
+            calls.append((q, k))
+            return mask
+
+        results = []
+        for m in (mask_fn, mask):
+            T.clear_tape()
+            for p in params:
+                p.zero_grad()
+            out = masked_attention(x, w, 2, m, rows)
+            if m is mask_fn:
+                projected = {id(n.inputs[1]): n.output.data for n in T.tape().nodes
+                             if n.inputs[0] is x}
+            T.backward(T.sum_all(out))
+            results.append([out.data] + [p.grad for p in params])
+        (q, k), = calls
+        assert q is projected[id(w.wq)] and k is projected[id(w.wk)]
+        assert q.shape == k.shape == x.shape
+        for with_fn, with_array in zip(*results):
+            assert np.array_equal(with_fn, with_array)
+
+    @pytest.mark.parametrize("shape", [(7, 7), (3, 8, 8), (2, 1, 8, 8)],
+                             ids=["wrong-T", "wrong-B", "rank-4"])
+    def test_mask_of_another_shape_is_rejected(self, shape):
+        rng = np.random.default_rng(22)
+        x = Tensor(rng.standard_normal((2, 8, 8)))
+        with pytest.raises(DimensionError, match=rf"{re.escape(str(shape))}.*\(2, 8, 8\)"):
+            masked_attention(x, random_weights(rng, 8), 2, np.zeros(shape))
 
     def test_repeated_backward_doubles_every_gradient(self):
         # a backward that overwrote an array its node saved would make the

@@ -214,6 +214,27 @@ class TestTrain:
                      "--out", str(tmp_path / "o")]) == 4
         assert "zero dimension" in capsys.readouterr().err
 
+    def test_non_finite_pixel_exit_4(self, data_dir, tmp_path, capsys):
+        hostile = tmp_path / "data"
+        shutil.copytree(data_dir, hostile)
+        path = hostile / "target_eval.sdsh"
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<f", blob, 28 + 4, np.nan)      # sample 0's first pixel
+        path.write_bytes(bytes(blob))
+        cfg = write_train_cfg(tmp_path / "t.cfg", hostile, mode="samb")
+        assert main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 4
+        assert "sample 0 has a non-finite pixel" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["samb", "vanilla"])
+    def test_non_finite_logits_exit_3(self, data_dir, tmp_path, capsys, mode):
+        # one step at lr 1e300 leaves finite weights whose forward overflows
+        cfg = write_train_cfg(tmp_path / "t.cfg", data_dir, mode=mode,
+                              lr="1e300", iterations_1=1)
+        assert main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 3
+        assert "non-finite logits or features" in capsys.readouterr().err
+
     def test_empty_training_split_exit_2(self, data_dir, tmp_path, capsys):
         empty = tmp_path / "data"
         shutil.copytree(data_dir, empty)

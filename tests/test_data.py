@@ -171,6 +171,20 @@ class TestSdshFormat:
             Dataset.load(path)
         assert ei.value.offset == offset
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel(self, tmp_path, value):
+        ds = generate(tiny_spec(train_per_class=2, num_classes=2))["source_train"]
+        path = tmp_path / "p.sdsh"
+        ds.save(path)
+        blob = bytearray(path.read_bytes())
+        sample_bytes = 4 + 4 * 3 * 16 * 16
+        offset = 28 + 3 * sample_bytes
+        struct.pack_into("<f", blob, offset + 4 + 4 * 100, value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="sample 3 has a non-finite pixel") as ei:
+            Dataset.load(path)
+        assert ei.value.offset == offset
+
     def test_partially_labeled_round_trip(self, tmp_path):
         ds = generate(tiny_spec())["source_train"]
         ds.labels[[1, 4, 7]] = -1

@@ -189,18 +189,17 @@ class TestPrunedLastBlock:
 class TestLayerAssignment:
     @pytest.mark.parametrize("n", [1, 2, 4, 8])
     @pytest.mark.parametrize("mode", [m for m in MessagePassingMode if m.dynamic])
-    def test_logits_equal_the_all_rows_projection(self, mode, n):
-        # Q is projected on the patch rows and K on the group rows only
+    def test_logits_are_patch_queries_against_group_keys(self, mode, n):
+        # the other rows of q and k are NaN, so a logit that read one is NaN
         model = VitSamb(small_cfg(mode=mode, num_group_tokens=n), np.random.default_rng(25))
         layout = model.cfg.layout
-        x = T.Tensor(np.random.default_rng(26).standard_normal((4, layout.total, 16)))
-        attn = model.blocks[0]["attn"]
-        q = np.matmul(x.data, attn.wq.data) + attn.bq.data
-        k = np.matmul(x.data, attn.wk.data) + attn.bk.data
-        qp = q[:, layout.patch_start:, :]
-        kg = k[:, layout.group_start:layout.group_start + n, :]
+        q, k = np.random.default_rng(26).standard_normal((2, 4, layout.total, 16))
+        qp = q[:, layout.patch_start:].copy()
+        kg = k[:, layout.group_start:layout.patch_start].copy()
+        q[:, :layout.patch_start] = np.nan
+        k[:, :layout.group_start] = k[:, layout.patch_start:] = np.nan
         expected = np.matmul(qp, np.swapaxes(kg, -1, -2)) / np.sqrt(16)
-        logits = model._layer_assignment(x, attn, train=False, rng=None).perturbed.data
+        logits = model._layer_assignment(q, k, train=False, rng=None).perturbed.data
         assert np.array_equal(logits, expected)
 
 

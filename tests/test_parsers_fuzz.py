@@ -1,6 +1,6 @@
 """Property tests of the two binary parsers: a corrupted checkpoint or SDSH
-file either loads or raises FormatError at an offset inside the file,
-never another exception."""
+file either loads, with every value finite, or raises FormatError at an
+offset inside the file, never another exception."""
 
 import struct
 
@@ -19,6 +19,10 @@ FUZZ = settings(derandomize=True, deadline=None, database=None, max_examples=400
 # values that sit on a parser's edges: empty, one, numpy's rank limits, and
 # the largest u32
 EDGE_WORDS = [0, 1, 2, 32, 33, 64, 65, 1200, 0x7FFFFFFF, 0xFFFFFFFF]
+
+# f32 bit patterns of a quiet NaN, both infinities, a signalling NaN and a
+# negative NaN
+NONFINITE_F32 = [0x7FC00000, 0x7F800000, 0xFF800000, 0x7F800001, 0xFFC00000]
 
 
 def checkpoint_blob() -> tuple[bytes, list[int]]:
@@ -41,32 +45,38 @@ def checkpoint_blob() -> tuple[bytes, list[int]]:
     return blob, words
 
 
-def dataset_blob(tmp_path_factory) -> tuple[bytes, list[int]]:
-    """A 3-sample SDSH file and the offsets of its header and label words."""
+def dataset_blob(tmp_path_factory) -> tuple[bytes, list[int], list[int]]:
+    """A 3-sample SDSH file, the offsets of its header and label words, and
+    those of its pixel words."""
     rng = np.random.default_rng(1)
     images = rng.random((3, 2, 3, 4)).astype(np.float32)
     path = tmp_path_factory.mktemp("fuzz") / "seed.sdsh"
     Dataset(images=images, labels=np.array([0, 2, -1]), domain="source",
             sample_ids=np.arange(3), num_classes=3).save(path)
     sample_bytes = 4 + 4 * 2 * 3 * 4
-    return path.read_bytes(), [4, 8, 12, 16, 20, 24] + [28 + i * sample_bytes
-                                                        for i in range(3)]
+    return (path.read_bytes(),
+            [4, 8, 12, 16, 20, 24] + [28 + i * sample_bytes for i in range(3)],
+            [28 + i * sample_bytes + 4 + 4 * j for i in range(3) for j in range(24)])
 
 
 @st.composite
-def corrupted(draw, blob: bytes, words: list[int]) -> bytes:
-    """``blob`` truncated, with bits flipped, or with a u32 word overwritten."""
-    kind = draw(st.sampled_from(["truncate", "flip", "word"]))
+def corrupted(draw, blob: bytes, words: list[int], pixels: list[int] = ()) -> bytes:
+    """``blob`` truncated, with bits flipped, with a u32 word overwritten, or
+    with one of the f32 ``pixels`` overwritten by a non-finite value."""
+    kind = draw(st.sampled_from(["truncate", "flip", "word"] + ["pixel"] * bool(pixels)))
     if kind == "truncate":
         return blob[:draw(st.integers(0, len(blob) - 1))]
     data = bytearray(blob)
     if kind == "flip":
         for bit in draw(st.lists(st.integers(0, 8 * len(blob) - 1), min_size=1, max_size=8)):
             data[bit // 8] ^= 1 << (bit % 8)
-    else:
+    elif kind == "word":
         value = draw(st.one_of(st.sampled_from(EDGE_WORDS), st.integers(0, 2000),
                                st.integers(0, 0xFFFFFFFF)))
         struct.pack_into("<I", data, draw(st.sampled_from(words)), value)
+    else:
+        struct.pack_into("<I", data, draw(st.sampled_from(pixels)),
+                         draw(st.sampled_from(NONFINITE_F32)))
     return bytes(data)
 
 
@@ -75,12 +85,15 @@ def path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "blob"
 
 
-def loads_or_reports_offset(load, path, blob: bytes):
+def loads_or_reports_offset(load, path, blob: bytes, values):
+    """``values`` lists the float arrays of what ``load`` returned."""
     path.write_bytes(blob)
     try:
-        load(path)
+        loaded = load(path)
     except FormatError as e:
         assert 0 <= e.offset <= len(blob), (e, len(blob))
+    else:
+        assert all(np.isfinite(v).all() for v in values(loaded))
 
 
 CHECKPOINT, CHECKPOINT_WORDS = checkpoint_blob()
@@ -89,7 +102,8 @@ CHECKPOINT, CHECKPOINT_WORDS = checkpoint_blob()
 @FUZZ
 @given(blob=corrupted(CHECKPOINT, CHECKPOINT_WORDS))
 def test_checkpoint_loads_or_raises_format_error(path, blob):
-    loads_or_reports_offset(T.load_checkpoint, path, blob)
+    loads_or_reports_offset(T.load_checkpoint, path, blob,
+                            lambda params: [t.data for t in params.values()])
 
 
 @pytest.fixture(scope="module")
@@ -101,4 +115,4 @@ def dataset(tmp_path_factory):
 @given(data=st.data())
 def test_dataset_loads_or_raises_format_error(path, dataset, data):
     blob = data.draw(corrupted(*dataset))
-    loads_or_reports_offset(Dataset.load, path, blob)
+    loads_or_reports_offset(Dataset.load, path, blob, lambda ds: [ds.images])
