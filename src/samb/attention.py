@@ -284,27 +284,24 @@ def masked_attention(tokens: Tensor, weights: AttentionWeights, n_heads: int,
     return T.linear(out, weights.wo, weights.bo)
 
 
-# Scores are walked in chunks of whole sequences of at most this many float64
-# elements (1 MiB), so that one chunk stays in a 2 MiB L2 cache.
-_CHUNK_ELEMS = 1 << 17
-
-
 def _attend(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
             mask: np.ndarray) -> Tensor:
     """softmax(q_h k_h^T / sqrt(dh) + mask) v_h per head, merged back to
     [B, Tq, d], as one tape node, for [B, Tq, d] ``q``, [B, Tk, d] ``k``
     and ``v``, and a [B, 1, Tq, Tk] ``mask``.
 
-    The [B, H, Tq, Tk] scores never exist at once: each chunk of at most
-    ``_CHUNK_ELEMS`` elements is scaled, masked and normalised in place in
-    one reused buffer, which becomes that chunk's probabilities.  The node
-    keeps the contiguous head splits of q and v, k^T, the row max and row
-    sum, and the buffer; the backward walks the chunks in reverse and
-    recomputes each one's probabilities from the saved row statistics,
-    except the chunk still in the buffer.  The numpy operations, their order
-    and their operands' layouts are those of the primitive-op composition,
-    so forward and backward are bit-identical to it.  For the same reason
-    the scale is not folded into q: that rounds differently.
+    The [B, H, Tq, Tk] scores never exist at once: they are walked in chunks
+    of whole sequences of at most ``T._CHUNK_ELEMS`` elements, which
+    ``T.run_lanes`` shares between two lanes.  Each lane scales, masks and
+    normalises its chunk in place in its own reused buffer, which becomes
+    that chunk's probabilities.  The node keeps the contiguous head splits
+    of q and v, k^T, the row max and row sum, and the buffers; the backward
+    recomputes each chunk's probabilities from the saved row statistics,
+    except a chunk still in a lane's buffer, which that lane takes first.
+    Chunks write disjoint rows, and the numpy operations, their order and
+    their operands' layouts are those of the primitive-op composition, so
+    forward and backward are bit-identical to it on one lane or two.  For
+    the same reason the scale is not folded into q: that rounds differently.
     """
     b, tq, d = q.shape
     tk = k.shape[1]
@@ -320,53 +317,72 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     kt = np.ascontiguousarray(split(k.data).transpose(0, 1, 3, 2))
     vh = np.ascontiguousarray(split(v.data))
     scale = float(1.0 / np.sqrt(dh))
-    per_chunk = max(1, _CHUNK_ELEMS // (n_heads * tq * tk))
+    per_chunk = max(1, T._CHUNK_ELEMS // (n_heads * tq * tk))
     chunks = [slice(i, min(i + per_chunk, b)) for i in range(0, b, per_chunk)]
-    buf = np.empty((min(per_chunk, b), n_heads, tq, tk))
+    chunk_shape = (min(per_chunk, b), n_heads, tq, tk)
+    bufs = [np.empty(chunk_shape), None]         # lane 1's is made when it first runs
+    held = [None, None]                          # chunk whose probabilities are in each buffer
     row_max = np.empty((b, n_heads, tq, 1))
     row_sum = np.empty((b, n_heads, tq, 1))
 
-    def scores(sl: slice, matmul) -> np.ndarray:
-        y = matmul(qh[sl], kt[sl], out=buf[:sl.stop - sl.start])
+    def scores(lane: int, sl: slice) -> np.ndarray:
+        if bufs[lane] is None:
+            bufs[lane] = np.empty(chunk_shape)
+        y = np.matmul(qh[sl], kt[sl], out=bufs[lane][:sl.stop - sl.start])
         y *= scale
         y += mask[sl]
         return y
 
     out = np.empty((b, n_heads, tq, dh))
-    for sl in chunks:
-        y = scores(sl, T.counted_matmul)
+
+    def probs(lane: int, i: int):
+        sl = chunks[i]
+        y = scores(lane, sl)
         m = np.max(y, axis=-1, keepdims=True, out=row_max[sl])
         if np.any(np.isneginf(m)):
             raise DegenerateMaskError("softmax: a row is fully masked (all -inf)")
         y -= m
         np.exp(y, out=y)
         y /= np.sum(y, axis=-1, keepdims=True, out=row_sum[sl])
-        T.counted_matmul(y, vh[sl], out=out[sl])
-    held = [len(chunks) - 1]                     # chunk whose probabilities are in buf
+        np.matmul(y, vh[sl], out=out[sl])
+        held[lane] = i
+
+    T.run_lanes(probs, len(chunks))
+    # the lanes multiply with np.matmul; the count is this thread's alone
+    T.count_matmul_flops(qh.shape, kt.shape)
+    T.count_matmul_flops((b, n_heads, tq, tk), vh.shape)
 
     def backward(g):
         g = split(g)
         dq, dkt, dv = np.empty_like(qh), np.empty_like(kt), np.empty_like(vh)
-        dp = np.empty_like(buf)
-        for i in reversed(range(len(chunks))):
+        scratch = [None, None]                   # per lane: dP, p * y, row dot
+
+        def grads(lane: int, i: int):
             sl = chunks[i]
             n = sl.stop - sl.start
-            y = buf[:n]
-            if held[0] != i:                     # recompute without counting FLOPs
-                scores(sl, np.matmul)
+            if held[lane] != i:
+                y = scores(lane, sl)
                 y -= row_max[sl]
                 np.exp(y, out=y)
                 y /= row_sum[sl]
-                held[0] = i
-            gs, p = g[sl], dp[:n]
+                held[lane] = i
+            if scratch[lane] is None:
+                scratch[lane] = (np.empty(chunk_shape), np.empty(chunk_shape),
+                                 np.empty(chunk_shape[:-1] + (1,)))
+            y = bufs[lane][:n]
+            p, py, dot = (s[:n] for s in scratch[lane])
+            gs = g[sl]
             np.matmul(gs, np.swapaxes(vh[sl], -1, -2), out=p)
             np.matmul(np.swapaxes(y, -1, -2), gs, out=dv[sl])
-            dot = (p * y).sum(axis=-1, keepdims=True)
+            np.multiply(p, y, out=py)
+            np.add.reduce(py, axis=-1, keepdims=True, out=dot)   # what .sum runs
             p -= dot                             # p becomes the score gradient
             p *= y
             p *= scale
             np.matmul(p, np.swapaxes(kt[sl], -1, -2), out=dq[sl])
             np.matmul(np.swapaxes(qh[sl], -1, -2), p, out=dkt[sl])
+
+        T.run_lanes(grads, len(chunks), first=tuple(held))
         return merge(dq), merge(dkt.transpose(0, 1, 3, 2)), merge(dv)
 
     return T.custom_op(merge(out), (q, k, v), backward)

@@ -90,6 +90,7 @@ class VitSamb:
         patch_dim = p * p * cfg.in_channels
 
         self._params: dict[str, Tensor] = {}   # record name -> parameter
+        self._static_mask: Optional[np.ndarray] = None   # built by the first forward
 
         def leaf(data):
             return Tensor(data, requires_grad=True)
@@ -223,7 +224,12 @@ class VitSamb:
                 assignments.append(assignment)
                 return mode_masks(cfg.mode, n, m, assignment.hard)
         else:
-            mask = mode_masks(cfg.mode, n, m)
+            # it depends only on the config; read-only, so that an in-place
+            # write raises instead of corrupting later forwards
+            if self._static_mask is None:
+                self._static_mask = mode_masks(cfg.mode, n, m)
+                self._static_mask.flags.writeable = False
+            mask = self._static_mask
         # the last block computes only the rows the head reads; its keys and
         # values still cover every token
         head = layout.head_rows

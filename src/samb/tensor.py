@@ -10,13 +10,21 @@ Training clears it at the start of each step; inference paths run under
 
 Everything is float64 and row-major contiguous.  -inf is a legal tensor
 value; it flows through ``softmax`` as exact zero probability.
+
+Wide kernels share their work between two lanes (``run_lanes``): the
+calling thread and one helper thread that runs numpy and scipy only, which
+release the interpreter lock.  This module is the package's one owner of
+threads.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
 import math
+import os
 import struct
+import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -27,6 +35,79 @@ from .errors import ContractError, DegenerateMaskError, DimensionError, FormatEr
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 _LN_EPS = 1e-6              # added to the layer-norm variance
+
+# Work is cut into pieces of at most this many float64 elements (1 MiB), so
+# that one piece stays in a 2 MiB L2 cache; an elementwise op over fewer
+# elements is not worth a handoff to the second lane.
+_CHUNK_ELEMS = 1 << 17
+
+
+# ---------------------------------------------------------------------------
+# two lanes
+
+_LANE1: list[Optional[concurrent.futures.ThreadPoolExecutor]] = [None]
+if hasattr(os, "register_at_fork"):
+    # a forked child has none of its parent's threads: it makes its own helper
+    os.register_at_fork(after_in_child=lambda: _LANE1.__setitem__(0, None))
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:                      # no affinity on this platform
+        return os.cpu_count() or 1
+
+
+def run_lanes(fn: Callable[[int, int], None], n: int, first: Sequence = ()) -> None:
+    """Call ``fn(lane, i)`` once for every ``i`` in ``range(n)``.
+
+    Lane 0 is the calling thread; lane 1 is one helper thread, made on first
+    use and reused.  Both pull indices from one shared queue, so a stalled
+    lane leaves its share to the other.  Lane ``l`` first takes ``first[l]``
+    (if given and not yet taken), then the rest in increasing order.  With
+    fewer than 2 items or 2 usable CPUs, lane 0 alone runs them in that
+    order.  ``fn`` must run numpy only when lane 1 calls it: tape, spans and
+    the FLOP count belong to the calling thread.  Returns once both lanes
+    are done; an exception raised in either lane reaches the caller.
+    """
+    if n < 2 or _usable_cpus() < 2:
+        own = first[0] if first else None
+        if own is not None:
+            fn(0, own)
+        for i in range(n):
+            if i != own:
+                fn(0, i)
+        return
+    todo = list(range(n))
+    stop = False
+    lock = threading.Lock()
+
+    def take(lane: int) -> Optional[int]:
+        with lock:
+            if stop or not todo:
+                return None
+            i = first[lane] if lane < len(first) and first[lane] in todo else todo[0]
+            todo.remove(i)
+            return i
+
+    def pull(lane: int) -> None:
+        nonlocal stop
+        try:
+            while (i := take(lane)) is not None:
+                fn(lane, i)
+        except BaseException:
+            stop = True                         # the other lane takes no more
+            raise
+
+    if _LANE1[0] is None:
+        _LANE1[0] = concurrent.futures.ThreadPoolExecutor(1, thread_name_prefix="samb-lane")
+    future = _LANE1[0].submit(pull, 1)
+    try:
+        pull(0)
+    finally:
+        error = future.exception()              # waits for lane 1
+    if error is not None:
+        raise error
 
 
 class TapeNode:
@@ -196,13 +277,22 @@ def stop_flop_count() -> float:
     return _flop_counter[0]
 
 
+def count_matmul_flops(a_shape: tuple, b_shape: tuple) -> None:
+    """Add the FLOPs of ``np.matmul`` over arrays of these shapes to the
+    count, for products a kernel ran itself (on two lanes) in its place."""
+    if _flop_counting[0]:
+        batch = math.prod(np.broadcast_shapes(a_shape[:-2], b_shape[:-2]))
+        _flop_counter[0] += 2.0 * batch * a_shape[-2] * a_shape[-1] * b_shape[-1]
+
+
 def counted_matmul(a: np.ndarray, b: np.ndarray,
                    out: Optional[np.ndarray] = None) -> np.ndarray:
     """``np.matmul`` of two arrays of rank >= 2, added to the FLOP count.
 
     Records no tape node; every forward product of the package goes
-    through here, so the count covers ``matmul``, ``linear`` and fused ops.
-    ``out``, if given, receives the product, as for ``np.matmul``.
+    through here or ``count_matmul_flops``, so the count covers ``matmul``,
+    ``linear`` and fused ops.  ``out``, if given, receives the product, as
+    for ``np.matmul``.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError(f"matmul requires rank >= 2, got {a.shape} and {b.shape}")
@@ -212,9 +302,7 @@ def counted_matmul(a: np.ndarray, b: np.ndarray,
         out = np.matmul(a, b, out=out)
     except ValueError:
         raise DimensionError(f"matmul: batch dims do not broadcast, {a.shape} x {b.shape}")
-    if _flop_counting[0]:
-        batch = int(np.prod(out.shape[:-2])) if out.ndim > 2 else 1
-        _flop_counter[0] += 2.0 * batch * a.shape[-2] * a.shape[-1] * b.shape[-1]
+    count_matmul_flops(a.shape, b.shape)
     return out
 
 
@@ -363,27 +451,52 @@ def sigmoid(a: Tensor) -> Tensor:
     return _record(out, (a,), lambda g: (g * y * (1.0 - y),))
 
 
+def _row_halves(x: np.ndarray) -> list:
+    """Indices that split ``x`` into two halves along axis 0 for two lanes,
+    or ``[...]`` (all of it) below ``_CHUNK_ELEMS`` elements or 2 rows."""
+    if x.ndim == 0 or x.shape[0] < 2 or x.size < _CHUNK_ELEMS:
+        return [...]
+    half = x.shape[0] // 2
+    return [slice(0, half), slice(half, None)]
+
+
 def _gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(cdf, x * cdf) of the exact erf GELU, not the tanh approximation.
 
-    The in-place steps round as ``0.5 * (1.0 + erf(x / sqrt 2))`` does.
+    The in-place steps round as ``0.5 * (1.0 + erf(x / sqrt 2))`` does, and
+    elementwise ops give each element the same bits on either lane.
     """
-    cdf = x * _INV_SQRT2
-    erf(cdf, out=cdf)
-    cdf += 1.0
-    cdf *= 0.5
-    return cdf, x * cdf
+    cdf, h = np.empty_like(x), np.empty_like(x)
+    parts = _row_halves(x)
+
+    def part(lane: int, i: int):
+        s = parts[i]
+        c = np.multiply(x[s], _INV_SQRT2, out=cdf[s])
+        erf(c, out=c)
+        c += 1.0
+        c *= 0.5
+        np.multiply(x[s], c, out=h[s])
+
+    run_lanes(part, len(parts))
+    return cdf, h
 
 
 def _gelu_backward(x: np.ndarray, cdf: np.ndarray, g: np.ndarray) -> np.ndarray:
     """``g * (cdf + x * pdf(x))`` in one new buffer; writes nothing else."""
-    gx = x * -0.5
-    gx *= x
-    np.exp(gx, out=gx)
-    gx *= _INV_SQRT2PI                          # pdf
-    gx *= x
-    gx += cdf
-    gx *= g
+    gx = np.empty_like(x)
+    parts = _row_halves(x)
+
+    def part(lane: int, i: int):
+        s = parts[i]
+        y = np.multiply(x[s], -0.5, out=gx[s])
+        y *= x[s]
+        np.exp(y, out=y)
+        y *= _INV_SQRT2PI                       # pdf
+        y *= x[s]
+        y += cdf[s]
+        y *= g[s]
+
+    run_lanes(part, len(parts))
     return gx
 
 

@@ -1,10 +1,36 @@
 """Shared numeric oracles for the test suite."""
 
+import threading
+
 import numpy as np
 
 import samb.tensor as T
 from samb.attention import GumbelConfig, gumbel_assign, masked_attention, mode_masks
 from samb.model import ForwardResult
+
+
+_RUN_LANES = T.run_lanes
+
+
+def use_lanes(monkeypatch, count: int) -> None:
+    """Make ``T.run_lanes`` see ``count`` usable CPUs.  With two, lane 0 also
+    waits for lane 1 to start its first item before running its own, so that
+    both lanes take work however small the items are."""
+    monkeypatch.setattr(T, "_usable_cpus", lambda: count)
+    monkeypatch.setattr(T, "run_lanes", _RUN_LANES if count < 2 else _both_lanes)
+
+
+def _both_lanes(fn, n, first=()):
+    started = threading.Event()
+
+    def item(lane, i):
+        if lane == 1:
+            started.set()
+        elif n > 1 and not started.wait(timeout=10):     # one item: lane 0 alone
+            raise RuntimeError("lane 1 took no item within 10 s")
+        fn(lane, i)
+
+    _RUN_LANES(item, n, first)
 
 
 def finite_diff_grad(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:

@@ -1,9 +1,10 @@
+import inspect
 import re
+import threading
 
 import numpy as np
 import pytest
 
-import samb.attention as attention
 import samb.tensor as T
 from samb.attention import (AttentionWeights, GumbelConfig, MessagePassingMode,
                             TokenLayout, contiguous_regions, gumbel_assign,
@@ -13,7 +14,7 @@ from samb.errors import (ConfigError, ContractError, DegenerateMaskError,
 from samb.tensor import Tensor
 
 from helpers import (check_grad, dense_attention_oracle, finite_diff_grad,
-                     unfused_attention)
+                     unfused_attention, use_lanes)
 
 NEG = -np.inf
 
@@ -315,7 +316,7 @@ class TestMaskedAttention:
 
 class TestChunkedAttention:
     """The scores are walked in chunks of whole sequences; shrinking
-    ``_CHUNK_ELEMS`` makes a B=4 batch run as several chunks, the last one
+    ``T._CHUNK_ELEMS`` makes a B=4 batch run as several chunks, the last one
     shorter when ``per_chunk`` does not divide 4."""
 
     B, N, M, D = 4, 3, 9, 8
@@ -325,7 +326,7 @@ class TestChunkedAttention:
         mask = (mode_masks(mode, n, m, rng.integers(0, n, size=(self.B, m)))
                 if mode.dynamic else mode_masks(mode, n, m))
         t = TokenLayout(mode, n, m).total
-        monkeypatch.setattr(attention, "_CHUNK_ELEMS", per_chunk * heads * t * t)
+        monkeypatch.setattr(T, "_CHUNK_ELEMS", per_chunk * heads * t * t)
         x = Tensor(rng.standard_normal((self.B, t, self.D)), requires_grad=True)
         w = random_weights(rng, self.D)
         c = Tensor(rng.standard_normal((self.B, t, self.D)))
@@ -358,12 +359,39 @@ class TestChunkedAttention:
         for heads in (1, 2, 4):
             mask, x, w, _ = self.setup(monkeypatch, rng, mode, heads, per_chunk)
             t = x.shape[1]
-            monkeypatch.setattr(attention, "_CHUNK_ELEMS", per_chunk * heads * tq * t)
+            monkeypatch.setattr(T, "_CHUNK_ELEMS", per_chunk * heads * tq * t)
             assert_rows_match_unfused(x, w, heads, mask, rows, rng)
 
-    def test_repeated_backward_doubles_every_gradient(self, monkeypatch):
-        # the first backward leaves chunk 0's probabilities in the buffer, so
-        # the second must recompute the last chunk instead of reusing it
+    @pytest.mark.parametrize("rows", ["all", "head"])
+    @pytest.mark.parametrize("per_chunk", [1, 3])
+    @pytest.mark.parametrize("mode", list(MessagePassingMode))
+    def test_two_lanes_match_one_lane_bit_for_bit(self, monkeypatch, mode, per_chunk, rows):
+        rng = np.random.default_rng(23)
+        rows = TokenLayout(mode, self.N, self.M).head_rows if rows == "head" else slice(None)
+        for heads in (1, 2, 4):
+            mask, x, w, _ = self.setup(monkeypatch, rng, mode, heads, per_chunk)
+            start, stop, _ = rows.indices(x.shape[1])
+            monkeypatch.setattr(T, "_CHUNK_ELEMS", per_chunk * heads * (stop - start) * x.shape[1])
+            c = Tensor(rng.standard_normal((self.B, stop - start, self.D)))
+            params = [x] + list(w.named("attn").values())
+            results, kept = [], []
+            for lanes in (1, 2):
+                use_lanes(monkeypatch, lanes)
+                T.clear_tape()
+                for p in params:
+                    p.zero_grad()
+                out = masked_attention(x, w, heads, mask, rows)
+                T.backward(T.sum_all(out * c))
+                results.append([out.data] + [p.grad for p in params])
+                kept.append(list(T.tape().nodes))    # no buffer reuse across runs
+            for one, two in zip(*results):
+                assert np.array_equal(one, two)
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_repeated_backward_doubles_every_gradient(self, monkeypatch, lanes):
+        # the first backward leaves other chunks' probabilities in the
+        # buffers, so the second must recompute instead of reusing them
+        use_lanes(monkeypatch, lanes)
         rng = np.random.default_rng(16)
         mask, x, w, c = self.setup(monkeypatch, rng, MessagePassingMode.SAMB_D, 2, 1)
         params = [x] + list(w.named("attn").values())
@@ -398,6 +426,96 @@ class TestChunkedAttention:
                 todo += list(obj)
         assert any(a.shape == (1, heads, t, t) for a in arrays)   # the chunk buffer
         assert all(a.size < full for a in arrays)
+
+
+class TestLanes:
+    """``T.run_lanes`` shares the chunks, and the halves of a large GELU,
+    between the calling thread and one helper thread that runs numpy only.
+    Here a B=4 batch of T=12 runs as four chunks on two lanes."""
+
+    B, T, D, HEADS = 4, 12, 8, 2
+
+    def case(self, monkeypatch, rng):
+        use_lanes(monkeypatch, 2)
+        monkeypatch.setattr(T, "_CHUNK_ELEMS", self.HEADS * self.T * self.T)
+        x = Tensor(rng.standard_normal((self.B, self.T, self.D)), requires_grad=True)
+        return x, random_weights(rng, self.D), np.zeros((self.B, self.T, self.T))
+
+    @staticmethod
+    def spy_lanes(monkeypatch):
+        """Thread idents of every item run, and of every exception raised
+        in one, keyed by lane."""
+        seen = {0: set(), 1: set(), "raised": []}
+        inner = T.run_lanes
+
+        def spy(fn, n, first=()):
+            def item(lane, i):
+                seen[lane].add(threading.get_ident())
+                try:
+                    fn(lane, i)
+                except Exception as e:
+                    seen["raised"].append((lane, threading.get_ident(), type(e)))
+                    raise
+            inner(item, n, first)
+
+        monkeypatch.setattr(T, "run_lanes", spy)
+        return seen
+
+    def test_tape_ops_and_flop_count_stay_on_the_calling_thread(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        x, w, mask = self.case(monkeypatch, rng)
+        calls = []
+
+        def record(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append((name, threading.get_ident()))
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name, fn in list(vars(T).items()):
+            if (inspect.isfunction(fn) and fn.__module__ == T.__name__
+                    and not name.startswith("_") and name != "run_lanes"):
+                monkeypatch.setattr(T, name, record(name, fn))
+        lanes = self.spy_lanes(monkeypatch)
+        h = Tensor(rng.standard_normal((self.B, self.T, self.D)), requires_grad=True)
+        w1 = Tensor(rng.standard_normal((self.D, 4 * self.D)), requires_grad=True)
+        b1 = Tensor(rng.standard_normal(4 * self.D), requires_grad=True)
+        w2 = Tensor(rng.standard_normal((4 * self.D, self.D)), requires_grad=True)
+        b2 = Tensor(rng.standard_normal(self.D), requires_grad=True)
+        T.start_flop_count()
+        out = masked_attention(x, w, self.HEADS, mask) + T.mlp(h, w1, b1, w2, b2)
+        T.stop_flop_count()
+        T.backward(T.sum_all(out))
+        me = threading.get_ident()
+        names = {name for name, _ in calls}
+        assert {"counted_matmul", "count_matmul_flops", "custom_op", "mlp",
+                "backward"} <= names
+        assert {ident for _, ident in calls} == {me}
+        assert lanes[0] == {me} and len(lanes[1]) == 1 and me not in lanes[1]
+
+    def test_error_in_the_helper_lane_reaches_the_caller(self, monkeypatch):
+        rng = np.random.default_rng(25)
+        x, w, mask = self.case(monkeypatch, rng)
+        lanes = self.spy_lanes(monkeypatch)
+        bad = mask.copy()
+        bad[1, 3] = NEG                          # chunk 1: lane 0 takes chunk 0 first
+        with pytest.raises(DegenerateMaskError, match="fully masked"):
+            masked_attention(x, w, self.HEADS, bad)
+        assert [(lane, e) for lane, _, e in lanes["raised"]] == [(1, DegenerateMaskError)]
+        assert lanes["raised"][0][1] != threading.get_ident()
+        T.clear_tape()
+        two = masked_attention(x, w, self.HEADS, mask).data
+        use_lanes(monkeypatch, 1)
+        assert np.array_equal(two, masked_attention(x, w, self.HEADS, mask).data)
+
+    def test_one_helper_thread_is_reused(self, monkeypatch):
+        rng = np.random.default_rng(26)
+        x, w, mask = self.case(monkeypatch, rng)
+        before = threading.active_count()
+        for _ in range(20):
+            T.clear_tape()
+            T.backward(T.sum_all(masked_attention(x, w, self.HEADS, mask)))
+        assert threading.active_count() <= before + 1
 
 
 def assert_rows_match_unfused(x, w, heads, mask, rows, rng):

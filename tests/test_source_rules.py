@@ -19,6 +19,23 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_only_the_tensor_module_imports_threads():
+    # one owner of threads: the lanes of samb.tensor.run_lanes
+    sources = sorted(Path(samb.__file__).parent.glob("*.py"))
+    importers = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            if any(m == "threading" or m.startswith("concurrent") for m in modules):
+                importers.add(path.name)
+    assert importers == {"tensor.py"}
+
+
 def test_benchmark_tracer_wiring_resolves(monkeypatch):
     # perfbench/tracer.py wraps these samb attributes by name; a deletion or
     # rename that would break the benchmark fails here first

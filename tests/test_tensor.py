@@ -1,17 +1,21 @@
 import gc
 import math
+import multiprocessing
 import struct
+import sys
+import threading
 import weakref
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 import samb.tensor as T
 from samb.errors import (ContractError, DegenerateMaskError, DimensionError,
                          FormatError)
 from samb.tensor import Tensor
 
-from helpers import check_grad, unfused_layer_norm, unfused_mlp
+from helpers import check_grad, unfused_layer_norm, unfused_mlp, use_lanes
 
 
 @pytest.fixture(autouse=True)
@@ -272,11 +276,96 @@ class TestFusedLayerNormAndMlp:
         for a, b in zip(once, twice):
             assert np.array_equal(2 * a, b)
 
+    @pytest.mark.parametrize("op", ["mlp", "gelu"])
+    def test_two_lanes_match_one_lane_bit_for_bit(self, monkeypatch, op):
+        # a [8, 260, 64] GELU activation, the 64 px block-0 one, is split in
+        # two halves along axis 0, one per lane
+        assert len(T._row_halves(np.empty((8, 260, 64)))) == 2
+        if op == "mlp":
+            inputs, c = self.mlp_inputs((8, 260, 16))
+        else:
+            rng = np.random.default_rng(27)
+            inputs, c = [leaf(rng, 8, 260, 64)], Tensor(rng.standard_normal((8, 260, 64)))
+        results, kept = [], []
+        for lanes in (1, 2):
+            use_lanes(monkeypatch, lanes)
+            results.append(output_and_grads(getattr(T, op), inputs, c))
+            # the next run must not get this run's freed buffers, which hold
+            # the very values a skipped element would fail to write
+            kept.append(list(T.tape().nodes))
+        for one, two in zip(*results):
+            assert np.array_equal(one, two)
+        if op == "gelu":                         # both against the plain expressions
+            x, g = inputs[0].data, c.data
+            cdf = 0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
+            pdf = np.exp(x * -0.5 * x) * (1.0 / np.sqrt(2.0 * np.pi))
+            assert np.array_equal(results[1][0], x * cdf)
+            assert np.array_equal(results[1][1], (pdf * x + cdf) * g)
+
     def test_mlp_weight_mismatch(self):
         rng = np.random.default_rng(13)
         x, w1, b1, w2 = leaf(rng, 2, 4), leaf(rng, 4, 8), leaf(rng, 8), leaf(rng, 8, 4)
         with pytest.raises(DimensionError, match="mlp"):
             T.mlp(x, w1, b1, w2, leaf(rng, 3))
+
+
+class TestRunLanes:
+    def test_one_lane_runs_its_first_item_then_the_rest_in_order(self, monkeypatch):
+        monkeypatch.setattr(T, "_usable_cpus", lambda: 1)
+        seen = []
+        T.run_lanes(lambda lane, i: seen.append((lane, i)), 4, first=(2, 0))
+        assert seen == [(0, 2), (0, 0), (0, 1), (0, 3)]
+
+    def test_every_item_runs_once_under_contention(self, monkeypatch):
+        # four callers share the one helper thread, with thread switches
+        # forced as often as the interpreter allows
+        monkeypatch.setattr(T, "_usable_cpus", lambda: 2)
+        errors = []
+
+        def caller():
+            try:
+                for _ in range(20):
+                    seen = []
+                    T.run_lanes(lambda lane, i: seen.append(i), 50, first=(49, 0))
+                    if sorted(seen) != list(range(50)):
+                        errors.append(sorted(seen))
+            except Exception as e:
+                errors.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+
+    def test_a_forked_child_gets_its_own_helper(self, monkeypatch):
+        # the parent's helper thread does not exist in a forked child
+        monkeypatch.setattr(T, "_usable_cpus", lambda: 2)
+        T.run_lanes(lambda lane, i: None, 2)
+
+        def child(done):
+            seen = []
+            T.run_lanes(lambda lane, i: seen.append(i), 50)
+            done.put(sorted(seen) == list(range(50)))
+
+        ctx = multiprocessing.get_context("fork")
+        done = ctx.Queue()
+        proc = ctx.Process(target=child, args=(done,))
+        proc.start()
+        try:
+            ok = done.get(timeout=60)
+        finally:
+            proc.join(timeout=10)
+            if proc.is_alive():
+                proc.kill()
+        assert ok and proc.exitcode == 0
 
 
 class TestNoGrad:
