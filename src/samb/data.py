@@ -46,6 +46,8 @@ class SyntheticSpec:
         for key in ("train_per_class", "eval_per_class"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -117,7 +117,7 @@ class TestGenData:
 
     @pytest.mark.parametrize("key, value", [
         ("image_size", "0"), ("image_size", "-8"), ("train_per_class", "-1"),
-        ("eval_per_class", "-2")])
+        ("eval_per_class", "-2"), ("seed", "-1")])
     def test_out_of_range_key_exit_2(self, tmp_path, capsys, key, value):
         spec = tmp_path / "bad.cfg"
         spec.write_text(f"{key} = {value}\n")
@@ -267,12 +267,20 @@ class TestTrain:
         ("gamma", "inf"), ("gamma", "-2"), ("lr", "nan"), ("lr", "inf"),
         ("patch_size", "0"), ("patch_size", "-4"), ("heads", "0"), ("heads", "-2"),
         ("embed_dim", "0"), ("embed_dim", "-8"), ("depth", "0"), ("depth", "-1"),
-        ("mlp_ratio", "0"), ("mlp_ratio", "-1")])
+        ("mlp_ratio", "0"), ("mlp_ratio", "-1"), ("seed", "-1")])
     def test_out_of_range_key_exit_2(self, data_dir, tmp_path, capsys, key, value):
         cfg = write_train_cfg(tmp_path / "t.cfg", data_dir, **{key: value})
         assert main(["train", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
         assert f"{key} must be" in capsys.readouterr().err
+
+    def test_negative_seed_override_exit_2(self, data_dir, tmp_path, capsys):
+        cfg = write_train_cfg(tmp_path / "t.cfg", data_dir)
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg), "--out", str(out),
+                     "--seed", "-5"]) == 2
+        assert "seed must be >= 0, got -5" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("split, change, message", [
         ("target_eval", "classes", "target evaluation split has 5 classes"),

@@ -20,7 +20,8 @@ def test_no_assert_statements():
 
 
 def test_only_the_tensor_module_imports_threads():
-    # one owner of threads: the lanes of samb.tensor.run_lanes
+    # one owner of process-wide policy: the lanes of samb.tensor.run_lanes
+    # and the heap policy that ctypes sets
     sources = sorted(Path(samb.__file__).parent.glob("*.py"))
     importers = set()
     for path in sources:
@@ -31,7 +32,7 @@ def test_only_the_tensor_module_imports_threads():
                 modules = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
             else:
                 continue
-            if any(m == "threading" or m.startswith("concurrent") for m in modules):
+            if any(m.split(".")[0] in ("threading", "concurrent", "ctypes") for m in modules):
                 importers.add(path.name)
     assert importers == {"tensor.py"}
 

@@ -1,7 +1,10 @@
 import gc
 import math
 import multiprocessing
+import os
+import platform
 import struct
+import subprocess
 import sys
 import threading
 import weakref
@@ -477,6 +480,38 @@ class TestGraphLifetime:
         T.backward(T.sum_all(h * h))
         assert np.array_equal(h.grad, 2.0 * h.data)
         assert w.grad is None
+
+
+# Ten cycles of allocating 24 arrays of 1 MiB and freeing them; prints the
+# minor page faults per cycle after the first, warm-up, cycle.
+_HEAP_CYCLES = """
+import resource
+import numpy as np
+import samb.tensor
+
+def cycle():
+    arrays = [np.ones(1 << 17) for _ in range(24)]
+    del arrays
+
+cycle()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(9):
+    cycle()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 9)
+"""
+
+
+class TestHeapPolicy:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap policy")
+    def test_freed_memory_stays_in_the_heap(self):
+        # a fresh interpreter, so that this process's heap state cannot hide
+        # the result; without the policy every cycle faults its 24 MiB back in
+        src = os.path.dirname(os.path.dirname(T.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", _HEAP_CYCLES], env=env,
+                             capture_output=True, text=True, check=True)
+        assert float(out.stdout) < 500
 
 
 class TestSgd:
