@@ -10,6 +10,8 @@ reproducible.
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -79,31 +81,42 @@ class Dataset:
 
     @staticmethod
     def load(path, domain: str = "source") -> "Dataset":
+        """Read an SDSH file.  The header is checked against the file size
+        before the body is read, and the body is read once: ``images`` is a
+        strided view of the record array's ``pixels`` field."""
         with open(path, "rb") as f:
-            blob = f.read()
-        if blob[:4] != _MAGIC:
-            raise FormatError("bad dataset magic", 0)
-        if len(blob) < _HEADER_BYTES:
-            raise FormatError("truncated dataset header", len(blob))
-        version, n, c, h, w, ncls = struct.unpack_from("<IIIIII", blob, 4)
-        if version != _VERSION:
-            raise FormatError(f"unsupported dataset version {version}", 4)
-        if 0 in (c, h, w):
-            raise FormatError(f"image shape {c}x{h}x{w} has a zero dimension", 12)
-        # check the header against the file length before allocating anything
-        sample_bytes = 4 + 4 * c * h * w
-        complete = (len(blob) - _HEADER_BYTES) // sample_bytes
-        if complete < n:
+            st = os.fstat(f.fileno())
+            if not stat.S_ISREG(st.st_mode):     # a pipe has no size to check
+                raise FormatError("dataset is not a regular file", 0)
+            size = st.st_size
+            head = f.read(_HEADER_BYTES)
+            if head[:4] != _MAGIC:
+                raise FormatError("bad dataset magic", 0)
+            if len(head) < _HEADER_BYTES:
+                raise FormatError("truncated dataset header", len(head))
+            version, n, c, h, w, ncls = struct.unpack_from("<IIIIII", head, 4)
+            if version != _VERSION:
+                raise FormatError(f"unsupported dataset version {version}", 4)
+            if 0 in (c, h, w):
+                raise FormatError(f"image shape {c}x{h}x{w} has a zero dimension", 12)
+            sample_bytes = 4 + 4 * c * h * w
+            complete = (size - _HEADER_BYTES) // sample_bytes
+            if complete < n:
+                raise FormatError(f"truncated sample {complete}",
+                                  _HEADER_BYTES + complete * sample_bytes)
+            end = _HEADER_BYTES + n * sample_bytes
+            if end != size:
+                raise FormatError("trailing bytes after last sample", end)
+            try:
+                record = _record_dtype(c, h, w)
+            except ValueError:
+                raise FormatError(f"image shape {c}x{h}x{w} is too large", 12) from None
+            records = np.empty(n, dtype=record)
+            got = f.readinto(records.view(np.uint8))
+        if got != end - _HEADER_BYTES:      # the file shrank after fstat
+            complete = got // sample_bytes
             raise FormatError(f"truncated sample {complete}",
                               _HEADER_BYTES + complete * sample_bytes)
-        end = _HEADER_BYTES + n * sample_bytes
-        if end != len(blob):
-            raise FormatError("trailing bytes after last sample", end)
-        try:
-            record = _record_dtype(c, h, w)
-        except ValueError:
-            raise FormatError(f"image shape {c}x{h}x{w} is too large", 12) from None
-        records = np.frombuffer(blob, dtype=record, count=n, offset=_HEADER_BYTES)
         raw_labels = records["label"]
         unlabeled = raw_labels == UNLABELED
         bad = np.flatnonzero(~unlabeled & (raw_labels >= ncls))
@@ -119,7 +132,7 @@ class Dataset:
                               _HEADER_BYTES + i * sample_bytes)
         labels = np.where(unlabeled, -1, raw_labels.astype(np.int64))
         # an empty split loads as labelled, so it is reported as empty
-        return Dataset(images=records["pixels"].astype(np.float32),
+        return Dataset(images=records["pixels"],
                        labels=None if n and unlabeled.all() else labels,
                        domain=domain, sample_ids=np.arange(n, dtype=np.int64),
                        num_classes=ncls)

@@ -15,7 +15,8 @@ Wide kernels share their work between two lanes (``run_lanes``): the
 calling thread and one helper thread that runs numpy and scipy only, which
 release the interpreter lock.  This module is the package's one owner of
 process-wide policy: the threads, and glibc's heap policy
-(``_keep_freed_memory``).
+(``_keep_freed_memory``).  The GELU's ``erf`` is scipy's compiled ufunc,
+loaded without ``scipy.special`` (``_load_erf``).
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from __future__ import annotations
 import concurrent.futures
 import contextlib
 import ctypes
+import importlib.machinery
+import importlib.util
 import math
 import os
 import struct
@@ -30,7 +33,6 @@ import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ContractError, DegenerateMaskError, DimensionError, FormatError
 
@@ -71,6 +73,36 @@ def _keep_freed_memory() -> None:
 
 
 _keep_freed_memory()
+
+
+def _load_erf() -> np.ufunc:
+    """scipy's ``erf`` ufunc, taken from its compiled module alone.
+
+    ``scipy.special``'s ``__init__`` imports an array-API shim that pulls in
+    ``numpy.f2py``, ``numpy.testing``, ``numpy.ma`` and more: about 350 of
+    the 550 ms of ``import samb.cli`` and 20 MB of resident memory (2-vCPU
+    x86_64 guest), for the one ufunc the GELU uses.  Loading
+    ``scipy/special/_special_ufuncs`` by itself gives the very object
+    ``scipy.special.erf`` (scipy 1.17), so every bit is the same;
+    ``find_spec("scipy")`` imports nothing.  Where that module or its
+    ``erf`` is missing, this falls back to ``scipy.special``.
+    """
+    try:
+        scipy = importlib.util.find_spec("scipy")
+        finder = importlib.machinery.FileFinder(
+            os.path.join(scipy.submodule_search_locations[0], "special"),
+            (importlib.machinery.ExtensionFileLoader,
+             importlib.machinery.EXTENSION_SUFFIXES))
+        spec = finder.find_spec("scipy.special._special_ufuncs")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.erf
+    except (AttributeError, ImportError, TypeError):
+        from scipy.special import erf
+        return erf
+
+
+erf = _load_erf()
 
 
 # ---------------------------------------------------------------------------

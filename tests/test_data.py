@@ -1,4 +1,6 @@
+import os
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -184,6 +186,45 @@ class TestSdshFormat:
         with pytest.raises(FormatError, match="sample 3 has a non-finite pixel") as ei:
             Dataset.load(path)
         assert ei.value.offset == offset
+
+    def test_images_view_the_records(self, tmp_path):
+        # the body is read once: no second float32 copy of the pixels
+        path = tmp_path / "v.sdsh"
+        generate(tiny_spec())["source_train"].save(path)
+        images = Dataset.load(path).images
+        assert images.dtype == np.float32 and not images.flags.owndata
+        assert images.strides[0] == 4 + 4 * 3 * 16 * 16
+
+    def test_file_shrinking_after_size_check(self, tmp_path, monkeypatch):
+        ds = generate(tiny_spec(train_per_class=2, num_classes=2))["source_train"]
+        path = tmp_path / "s.sdsh"
+        ds.save(path)
+        sample_bytes = 4 + 4 * 3 * 16 * 16
+        path.write_bytes(path.read_bytes()[:-sample_bytes])
+        # the header's four samples match the size fstat reports, but the
+        # read finds three
+        size = path.stat().st_size + sample_bytes
+        fstat = os.fstat
+        monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(
+            st_mode=fstat(fd).st_mode, st_size=size))
+        with pytest.raises(FormatError, match="truncated sample 3") as ei:
+            Dataset.load(path)
+        assert ei.value.offset == 28 + 3 * sample_bytes
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_is_refused(self, tmp_path):
+        # the header is checked against the file size, which a pipe lacks
+        path = tmp_path / "d.sdsh"
+        generate(tiny_spec(train_per_class=1))["source_train"].save(path)
+        r, w = os.pipe()
+        try:
+            os.write(w, path.read_bytes())
+            os.close(w)
+            with pytest.raises(FormatError, match="not a regular file") as ei:
+                Dataset.load(f"/dev/fd/{r}")
+            assert ei.value.offset == 0
+        finally:
+            os.close(r)
 
     def test_partially_labeled_round_trip(self, tmp_path):
         ds = generate(tiny_spec())["source_train"]

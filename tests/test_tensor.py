@@ -1,4 +1,5 @@
 import gc
+import importlib.machinery
 import math
 import multiprocessing
 import os
@@ -501,17 +502,61 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 9)
 """
 
 
+def run_fresh(code: str) -> str:
+    """stdout of ``code`` run by a fresh interpreter that imports this samb."""
+    src = os.path.dirname(os.path.dirname(T.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
 class TestHeapPolicy:
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap policy")
     def test_freed_memory_stays_in_the_heap(self):
         # a fresh interpreter, so that this process's heap state cannot hide
         # the result; without the policy every cycle faults its 24 MiB back in
-        src = os.path.dirname(os.path.dirname(T.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run([sys.executable, "-c", _HEAP_CYCLES], env=env,
-                             capture_output=True, text=True, check=True)
-        assert float(out.stdout) < 500
+        assert float(run_fresh(_HEAP_CYCLES)) < 500
+
+
+_ERF_POINTS = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
+                        6.0, -6.0, 40.0, -40.0])
+
+
+def fallback_erf(monkeypatch, how: str):
+    """``T._load_erf()`` with the direct load of the compiled module broken."""
+    if how == "raises":
+        def broken(*args, **kwargs):
+            raise ImportError("no compiled module")
+        monkeypatch.setattr(importlib.machinery, "FileFinder", broken)
+    else:                               # the module is not found
+        monkeypatch.setattr(importlib.machinery.FileFinder, "find_spec",
+                            lambda self, name, target=None: None)
+    return T._load_erf()
+
+
+class TestErf:
+    def test_import_leaves_scipy_special_out(self):
+        # scipy.special's __init__ pulls in numpy.f2py, numpy.testing and more
+        loaded = run_fresh("import sys, samb.cli\n"
+                           "print(' '.join(sorted(sys.modules)))").split()
+        assert "scipy.special" not in loaded
+        assert "numpy.f2py" not in loaded
+
+    def test_is_scipy_special_erf(self):
+        assert T.erf is erf
+
+    @pytest.mark.parametrize("how", ["raises", "missing"])
+    def test_fallback_is_scipy_special_erf(self, monkeypatch, how):
+        assert fallback_erf(monkeypatch, how) is erf
+
+    def test_same_bits_from_both_paths(self, monkeypatch):
+        direct = T._load_erf()(_ERF_POINTS)
+        fallback = fallback_erf(monkeypatch, "raises")(_ERF_POINTS)
+        assert direct.tobytes() == fallback.tobytes()
+        assert np.array_equal(direct, [np.nan, 1, -1, 0, -0.0, 5e-324,
+                                       -5e-324, 1, -1, 1, -1], equal_nan=True)
+        assert np.signbit(direct[4]) and not np.signbit(direct[3])
 
 
 class TestSgd:
