@@ -296,12 +296,14 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     normalises its chunk in place in its own reused buffer, which becomes
     that chunk's probabilities.  The node keeps the contiguous head splits
     of q and v, k^T, the row max and row sum, and the buffers; the backward
-    recomputes each chunk's probabilities from the saved row statistics,
-    except a chunk still in a lane's buffer, which that lane takes first.
-    Chunks write disjoint rows, and the numpy operations, their order and
-    their operands' layouts are those of the primitive-op composition, so
-    forward and backward are bit-identical to it on one lane or two.  For
-    the same reason the scale is not folded into q: that rounds differently.
+    runs the chunks in reverse, so each lane starts on the chunk its buffer
+    still holds (``held``; another one after a repeated backward or a change
+    of lane count), and recomputes every other chunk's probabilities from
+    the saved row statistics.  Chunks write disjoint rows, and the numpy
+    operations, their order and their operands' layouts are those of the
+    primitive-op composition, so forward and backward are bit-identical to
+    it on one lane or two.  For the same reason the scale is not folded into
+    q: that rounds differently.
     """
     b, tq, d = q.shape
     tk = k.shape[1]
@@ -320,14 +322,12 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     per_chunk = max(1, T._CHUNK_ELEMS // (n_heads * tq * tk))
     chunks = [slice(i, min(i + per_chunk, b)) for i in range(0, b, per_chunk)]
     chunk_shape = (min(per_chunk, b), n_heads, tq, tk)
-    bufs = [np.empty(chunk_shape), None]         # lane 1's is made when it first runs
-    held = [None, None]                          # chunk whose probabilities are in each buffer
+    bufs = [np.empty(chunk_shape) for _ in chunks[:2]]    # one per lane that can run
+    held = [None] * len(bufs)                    # chunk whose probabilities are in each buffer
     row_max = np.empty((b, n_heads, tq, 1))
     row_sum = np.empty((b, n_heads, tq, 1))
 
     def scores(lane: int, sl: slice) -> np.ndarray:
-        if bufs[lane] is None:
-            bufs[lane] = np.empty(chunk_shape)
         y = np.matmul(qh[sl], kt[sl], out=bufs[lane][:sl.stop - sl.start])
         y *= scale
         y += mask[sl]
@@ -355,7 +355,8 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     def backward(g):
         g = split(g)
         dq, dkt, dv = np.empty_like(qh), np.empty_like(kt), np.empty_like(vh)
-        scratch = [None, None]                   # per lane: dP, p * y, row dot
+        scratch = [(np.empty(chunk_shape), np.empty(chunk_shape),     # per lane: dP,
+                    np.empty(chunk_shape[:-1] + (1,))) for _ in bufs]  # p * y, row dot
 
         def grads(lane: int, i: int):
             sl = chunks[i]
@@ -366,9 +367,6 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
                 np.exp(y, out=y)
                 y /= row_sum[sl]
                 held[lane] = i
-            if scratch[lane] is None:
-                scratch[lane] = (np.empty(chunk_shape), np.empty(chunk_shape),
-                                 np.empty(chunk_shape[:-1] + (1,)))
             y = bufs[lane][:n]
             p, py, dot = (s[:n] for s in scratch[lane])
             gs = g[sl]
@@ -382,7 +380,7 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
             np.matmul(p, np.swapaxes(kt[sl], -1, -2), out=dq[sl])
             np.matmul(np.swapaxes(qh[sl], -1, -2), p, out=dkt[sl])
 
-        T.run_lanes(grads, len(chunks), first=tuple(held))
+        T.run_lanes(grads, len(chunks), reverse=True)
         return merge(dq), merge(dkt.transpose(0, 1, 3, 2)), merge(dv)
 
     return T.custom_op(merge(out), (q, k, v), backward)

@@ -26,6 +26,7 @@ _VERSION = 1
 _HEADER_BYTES = 28
 
 GLYPHS = ("bar", "disc", "cross", "ring")
+MAX_SPLIT_BYTES = 256 << 20     # one generated split's pixels at most: a constant, not a key
 
 
 @dataclass
@@ -50,6 +51,14 @@ class SyntheticSpec:
                 raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        per_class = max(self.train_per_class, self.eval_per_class)
+        nbytes = per_class * self.num_classes * 3 * self.image_size ** 2 * 4   # RGB float32
+        if nbytes > MAX_SPLIT_BYTES:
+            raise ConfigError(
+                f"one split's pixels would take {nbytes} bytes, above the cap of "
+                f"{MAX_SPLIT_BYTES >> 20} MiB; they follow from num_classes = "
+                f"{self.num_classes}, train_per_class = {self.train_per_class}, "
+                f"eval_per_class = {self.eval_per_class}, image_size = {self.image_size}")
 
 
 @dataclass
@@ -147,7 +156,6 @@ def _record_dtype(c: int, h: int, w: int) -> np.dtype:
 class DomainBatch:
     images: np.ndarray              # [B, C, H, W] f64
     labels: Optional[np.ndarray]
-    domain: str
     sample_ids: np.ndarray
 
 
@@ -261,5 +269,4 @@ def batch_iter(dataset: Dataset, batch_size: int, seed: int,
         idx = order[start:start + batch_size]
         labels = None if dataset.labels is None else dataset.labels[idx]
         yield DomainBatch(images=dataset.images[idx].astype(np.float64),
-                          labels=labels, domain=dataset.domain,
-                          sample_ids=dataset.sample_ids[idx])
+                          labels=labels, sample_ids=dataset.sample_ids[idx])

@@ -4,7 +4,7 @@ feature used for classification and domain alignment."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -13,8 +13,13 @@ from . import tensor as T
 from .attention import (AttentionWeights, GroupAssignment, GumbelConfig,
                         MessagePassingMode, TokenLayout, gumbel_assign,
                         masked_attention, mode_masks)
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .tensor import Tensor
+
+# What one config may ask to allocate at most: constants, not config keys
+MAX_PARAM_BYTES = 256 << 20         # the model's float64 parameters
+MAX_SCORE_BYTES = 256 << 20         # one sequence's [H, T, T] attention scores,
+                                    # the least an attention call allocates at once
 
 
 @dataclass
@@ -46,6 +51,31 @@ class ModelConfig:
         if self.mode.has_group_tokens and self.num_group_tokens > self.num_patches:
             raise ConfigError(
                 f"{self.num_group_tokens} group tokens exceed {self.num_patches} patches")
+        self._check_bytes("the model parameters", 8 * self.param_count, MAX_PARAM_BYTES,
+                          ("image_size", "patch_size", "in_channels", "embed_dim", "depth",
+                           "mlp_ratio", "num_group_tokens", "num_classes"))
+        self._check_bytes("one sequence's attention scores",
+                          8 * self.heads * self.layout.total ** 2, MAX_SCORE_BYTES,
+                          ("image_size", "patch_size", "num_group_tokens", "heads"))
+
+    def _check_bytes(self, what: str, nbytes: int, cap: int, keys: tuple):
+        if nbytes > cap:
+            values = ", ".join(f"{k} = {getattr(self, k)}" for k in keys)
+            raise ConfigError(f"{what} would take {nbytes} bytes, above the cap of "
+                              f"{cap >> 20} MiB; they follow from {values} (samb train "
+                              "reads image_size, in_channels and num_classes from the data)")
+
+    @property
+    def param_count(self) -> int:
+        """The parameter count of ``VitSamb(self)``, from the config alone."""
+        d, r, layout = self.embed_dim, self.mlp_ratio, self.layout
+        block = 4 * d + 4 * (d * d + d) + 2 * r * d * d + r * d + d   # norms, attn, mlp
+        return (self.patch_size ** 2 * self.in_channels * d + d       # patch embedding
+                + self.num_patches * d                                 # position embedding
+                + (layout.n_groups + layout.has_cls) * d               # group and class tokens
+                + (d if self.mode.has_group_tokens else 0)             # fusion query
+                + self.depth * block + 2 * d                           # blocks, final norm
+                + (d + 1) * self.num_classes)                          # head
 
     @property
     def num_patches(self) -> int:
@@ -191,10 +221,7 @@ class VitSamb:
         qp = q[:, layout.patch_start:]
         kg = k[:, layout.group_start:layout.patch_start]
         logits = np.matmul(qp, np.swapaxes(kg, -1, -2)) / np.sqrt(cfg.embed_dim)
-        gcfg = cfg.gumbel
-        if not train:
-            gcfg = GumbelConfig(temperature=gcfg.temperature, noise_enabled=False,
-                                rng_seed=gcfg.rng_seed)
+        gcfg = cfg.gumbel if train else replace(cfg.gumbel, noise_enabled=False)
         return gumbel_assign(Tensor(logits), gcfg, rng)
 
     def forward(self, images: np.ndarray, train: bool = False,
@@ -209,18 +236,18 @@ class VitSamb:
         x = T.linear(patches, self.patch_w, self.patch_b) + self.pos_embed
         parts = []
         if self.cls_token is not None:
-            parts.append(T.broadcast_to(T.reshape(self.cls_token, (1, 1, d)),
-                                        (b, 1, d)))
+            parts.append(T.broadcast_to(self.cls_token, (b, 1, d)))
         if self.group_tokens is not None:
-            parts.append(T.broadcast_to(T.reshape(self.group_tokens, (1, n, d)),
-                                        (b, n, d)))
-        parts.append(x)
-        x = T.concat(parts, axis=1) if len(parts) > 1 else x
+            parts.append(T.broadcast_to(self.group_tokens, (b, n, d)))
+        x = T.concat(parts + [x], axis=1)        # every mode has one or both
 
         assignments: list[GroupAssignment] = []
         if cfg.mode.dynamic:
             def mask(q: np.ndarray, k: np.ndarray) -> np.ndarray:
-                assignment = self._layer_assignment(q, k, train, rng)
+                try:
+                    assignment = self._layer_assignment(q, k, train, rng)
+                except NumericError as e:            # one assignment per block so far
+                    raise NumericError(f"block {len(assignments)}: {e}") from e
                 assignments.append(assignment)
                 return mode_masks(cfg.mode, n, m, assignment.hard)
         else:

@@ -3,20 +3,23 @@
 A define-by-run gradient tape: every differentiable operation appends one
 node to the ambient tape, in execution order, so the node list is
 topologically sorted by construction.  ``backward`` walks it once in
-reverse.  The tape is the graph's only owner (a tensor holds no reference
-to the node that produced it), so ``clear_tape`` frees the graph at once.
-Training clears it at the start of each step; inference paths run under
-``no_grad`` and record nothing.
+reverse; the gradients it leaves pending are the leaves'.  The tape is the
+graph's only owner (a tensor holds no reference to the node that produced
+it), so ``clear_tape`` frees the graph at once.  Training clears it at the
+start of each step; inference paths run under ``no_grad`` and record
+nothing.
 
 Everything is float64 and row-major contiguous.  -inf is a legal tensor
 value; it flows through ``softmax`` as exact zero probability.
 
 Wide kernels share their work between two lanes (``run_lanes``): the
 calling thread and one helper thread that runs numpy and scipy only, which
-release the interpreter lock.  This module is the package's one owner of
-process-wide policy: the threads, and glibc's heap policy
-(``_keep_freed_memory``).  The GELU's ``erf`` is scipy's compiled ufunc,
-loaded without ``scipy.special`` (``_load_erf``).
+release the interpreter lock.  Lane ``l`` runs every second item from ``l``
+on, a fixed stride, so which lane runs an item never depends on timing.
+This module is the package's one owner of process-wide policy: the
+threads, and glibc's heap policy (``_keep_freed_memory``).  The GELU's
+``erf`` is scipy's compiled ufunc, loaded without ``scipy.special``
+(``_load_erf``).
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ import importlib.util
 import math
 import os
 import struct
-import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -121,52 +123,32 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def run_lanes(fn: Callable[[int, int], None], n: int, first: Sequence = ()) -> None:
+def run_lanes(fn: Callable[[int, int], None], n: int, reverse: bool = False) -> None:
     """Call ``fn(lane, i)`` once for every ``i`` in ``range(n)``.
 
     Lane 0 is the calling thread; lane 1 is one helper thread, made on first
-    use and reused.  Both pull indices from one shared queue, so a stalled
-    lane leaves its share to the other.  Lane ``l`` first takes ``first[l]``
-    (if given and not yet taken), then the rest in increasing order.  With
-    fewer than 2 items or 2 usable CPUs, lane 0 alone runs them in that
-    order.  ``fn`` must run numpy only when lane 1 calls it: tape, spans and
-    the FLOP count belong to the calling thread.  Returns once both lanes
-    are done; an exception raised in either lane reaches the caller.
+    use and reused.  With at least 2 items and 2 usable CPUs, lane ``l``
+    runs items ``l, l+2, ...``; otherwise lane 0 runs them all.  Each lane
+    runs its items in increasing order, or decreasing with ``reverse``, so a
+    reversed call starts each lane on the last item it ran in a forward one.
+    ``fn`` must run numpy only when lane 1 calls it: tape, spans and the FLOP
+    count belong to the calling thread.  Returns once both lanes are done; an
+    exception raised in either lane then reaches the caller.
     """
-    if n < 2 or _usable_cpus() < 2:
-        own = first[0] if first else None
-        if own is not None:
-            fn(0, own)
-        for i in range(n):
-            if i != own:
-                fn(0, i)
-        return
-    todo = list(range(n))
-    stop = False
-    lock = threading.Lock()
+    lanes = 2 if n >= 2 and _usable_cpus() >= 2 else 1
 
-    def take(lane: int) -> Optional[int]:
-        with lock:
-            if stop or not todo:
-                return None
-            i = first[lane] if lane < len(first) and first[lane] in todo else todo[0]
-            todo.remove(i)
-            return i
+    def run(lane: int) -> None:
+        items = range(lane, n, lanes)
+        for i in reversed(items) if reverse else items:
+            fn(lane, i)
 
-    def pull(lane: int) -> None:
-        nonlocal stop
-        try:
-            while (i := take(lane)) is not None:
-                fn(lane, i)
-        except BaseException:
-            stop = True                         # the other lane takes no more
-            raise
-
+    if lanes == 1:
+        return run(0)
     if _LANE1[0] is None:
         _LANE1[0] = concurrent.futures.ThreadPoolExecutor(1, thread_name_prefix="samb-lane")
-    future = _LANE1[0].submit(pull, 1)
+    future = _LANE1[0].submit(run, 1)
     try:
-        pull(0)
+        run(0)
     finally:
         error = future.exception()              # waits for lane 1
     if error is not None:
@@ -348,21 +330,19 @@ def count_matmul_flops(a_shape: tuple, b_shape: tuple) -> None:
         _flop_counter[0] += 2.0 * batch * a_shape[-2] * a_shape[-1] * b_shape[-1]
 
 
-def counted_matmul(a: np.ndarray, b: np.ndarray,
-                   out: Optional[np.ndarray] = None) -> np.ndarray:
+def counted_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.matmul`` of two arrays of rank >= 2, added to the FLOP count.
 
     Records no tape node; every forward product of the package goes
     through here or ``count_matmul_flops``, so the count covers ``matmul``,
-    ``linear`` and fused ops.  ``out``, if given, receives the product, as
-    for ``np.matmul``.
+    ``linear`` and fused ops.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError(f"matmul requires rank >= 2, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul: inner dims disagree, {a.shape} x {b.shape}")
     try:
-        out = np.matmul(a, b, out=out)
+        out = np.matmul(a, b)
     except ValueError:
         raise DimensionError(f"matmul: batch dims do not broadcast, {a.shape} x {b.shape}")
     count_matmul_flops(a.shape, b.shape)
@@ -694,57 +674,46 @@ def backward(loss: Tensor):
     """Populate ``grad`` on every requires_grad leaf reachable from ``loss``.
 
     A leaf is any tensor no node on the current tape produced, including one
-    whose node was cleared.  Repeated calls without ``zero_grad`` accumulate.
+    whose node was cleared: a node pops its output's pending gradient before
+    the nodes that made its inputs run, so one reverse walk leaves pending
+    only the leaves'.  Repeated calls without ``zero_grad`` accumulate.
     """
     if loss.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    produced = {id(n.output) for n in _TAPE.nodes}
-    if id(loss) not in produced:
-        if loss.requires_grad:
-            loss.grad = (loss.grad if loss.grad is not None else 0.0) + np.ones_like(loss.data)
-        return
+    pending = {id(loss): (loss, np.ones_like(loss.data))}    # id -> (tensor, grad)
     for node in reversed(_TAPE.nodes):
-        g = grads.pop(id(node.output), None)
-        if g is None:
+        entry = pending.pop(id(node.output), None)
+        if entry is None:
             continue
-        input_grads = node.backward_fn(g)
-        for inp, gi in zip(node.inputs, input_grads):
+        for inp, gi in zip(node.inputs, node.backward_fn(entry[1])):
             if gi is None or not inp.requires_grad:
                 continue
-            if id(inp) not in produced:
-                inp.grad = gi if inp.grad is None else inp.grad + gi
-            else:
-                key = id(inp)
-                grads[key] = gi if key not in grads else grads[key] + gi
+            key = id(inp)
+            pending[key] = (inp, gi if key not in pending else pending[key][1] + gi)
+    for leaf, g in pending.values():
+        if leaf.requires_grad:
+            leaf.grad = g if leaf.grad is None else leaf.grad + g
 
 
 # ---------------------------------------------------------------------------
 # optimizer
 
-class SgdState:
-    """Per-parameter momentum buffers, keyed by parameter identity."""
-
-    def __init__(self):
-        self.velocity: dict[int, np.ndarray] = {}
-
-
 def sgd_step(params: Sequence[Tensor], lr: float, momentum: float = 0.0,
-             weight_decay: float = 0.0, state: Optional[SgdState] = None):
-    """v <- momentum*v + grad + wd*param;  param <- param - lr*v."""
+             weight_decay: float = 0.0, velocity: Optional[dict] = None) -> dict:
+    """v <- momentum*v + grad + wd*param;  param <- param - lr*v.  ``velocity``
+    maps ``id(param)`` to v; it is updated in place and returned."""
     if not 0.0 < lr < np.inf:
         raise ContractError(f"sgd_step: lr must be finite and > 0, got {lr}")
-    if state is None:
-        state = SgdState()
+    velocity = {} if velocity is None else velocity
     for p in params:
         if p.grad is None:
             continue
         g = p.grad + weight_decay * p.data
-        v = state.velocity.get(id(p))
+        v = velocity.get(id(p))
         v = g if v is None else momentum * v + g
-        state.velocity[id(p)] = v
+        velocity[id(p)] = v
         p.data = p.data - lr * v
-    return state
+    return velocity
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,9 @@ import numpy as np
 from . import tensor as T
 from .alignment import Discriminator, GrlConfig, domain_loss, grl
 from .data import Dataset, batch_iter
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DegenerateMaskError, NumericError
 from .model import ModelConfig, VitSamb
 from .pseudo_label import build_table
-from .tensor import SgdState
 
 
 class Scheme(Enum):
@@ -186,7 +185,7 @@ class Trainer:
         self._src_iter = _cycle(source_train, cfg.batch_size, int(data_seeds[0]))
         self._tgt_iter = _cycle(self.target_train, cfg.batch_size, int(data_seeds[1]))
 
-        self.opt_state = SgdState()
+        self.opt_state: dict = {}                # id(param) -> SGD velocity
         self.log = MetricLog()
         self.pseudo_labels: Optional[np.ndarray] = None
         self._global_step = 0
@@ -240,9 +239,7 @@ class Trainer:
             l_d = ld.item()
             total = total + ld
         if not np.isfinite(total.item()):
-            raise NumericError(
-                f"non-finite loss at iteration {self._global_step + 1}: "
-                f"l_cls={l_cls} l_d={l_d}")
+            raise NumericError(f"non-finite loss: l_cls={l_cls} l_d={l_d}")
         T.backward(total)
         T.sgd_step(self._all_params(), self.cfg.lr, self.cfg.momentum,
                    self.cfg.weight_decay, self.opt_state)
@@ -260,17 +257,19 @@ class Trainer:
             for _ in range(n_iter):
                 progress = self._global_step / max(1, total_steps)
                 lam = cfg.grl.lambda_at(progress) if kind in ("ada", "joint") else 0.0
-                l_cls, l_d = self._step(kind, lam)
                 self._global_step += 1
                 last = self._global_step == total_steps
                 do_eval = last or (cfg.eval_every and
                                    self._global_step % cfg.eval_every == 0)
                 acc_s = acc_t = None
-                if do_eval:
-                    if self.source_eval is not None:
+                try:                             # one place names the iteration
+                    l_cls, l_d = self._step(kind, lam)
+                    if do_eval and self.source_eval is not None:
                         acc_s = evaluate(self.model, self.source_eval, cfg.batch_size)
-                    if self.target_eval is not None:
+                    if do_eval and self.target_eval is not None:
                         acc_t = evaluate(self.model, self.target_eval, cfg.batch_size)
+                except (NumericError, DegenerateMaskError) as e:
+                    raise type(e)(f"iteration {self._global_step}: {e}") from e
                 seconds = time.monotonic() - t0 if cfg.wallclock else 0.0
                 self.log.append(MetricRecord(self._global_step, stage_idx,
                                              l_cls, l_d, acc_s, acc_t, seconds))

@@ -15,12 +15,12 @@ _RUN_LANES = T.run_lanes
 def use_lanes(monkeypatch, count: int) -> None:
     """Make ``T.run_lanes`` see ``count`` usable CPUs.  With two, lane 0 also
     waits for lane 1 to start its first item before running its own, so that
-    both lanes take work however small the items are."""
+    the lanes overlap however small the items are."""
     monkeypatch.setattr(T, "_usable_cpus", lambda: count)
     monkeypatch.setattr(T, "run_lanes", _RUN_LANES if count < 2 else _both_lanes)
 
 
-def _both_lanes(fn, n, first=()):
+def _both_lanes(fn, n, reverse=False):
     started = threading.Event()
 
     def item(lane, i):
@@ -30,7 +30,7 @@ def _both_lanes(fn, n, first=()):
             raise RuntimeError("lane 1 took no item within 10 s")
         fn(lane, i)
 
-    _RUN_LANES(item, n, first)
+    _RUN_LANES(item, n, reverse)
 
 
 def finite_diff_grad(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:

@@ -7,7 +7,7 @@ import pytest
 
 import samb.tensor as T
 from samb.attention import (AttentionWeights, GumbelConfig, MessagePassingMode,
-                            TokenLayout, contiguous_regions, gumbel_assign,
+                            TokenLayout, _attend, contiguous_regions, gumbel_assign,
                             handcrafted_mask, masked_attention, mode_masks)
 from samb.errors import (ConfigError, ContractError, DegenerateMaskError,
                          DimensionError, NumericError)
@@ -448,7 +448,7 @@ class TestLanes:
         seen = {0: set(), 1: set(), "raised": []}
         inner = T.run_lanes
 
-        def spy(fn, n, first=()):
+        def spy(fn, n, reverse=False):
             def item(lane, i):
                 seen[lane].add(threading.get_ident())
                 try:
@@ -456,7 +456,7 @@ class TestLanes:
                 except Exception as e:
                     seen["raised"].append((lane, threading.get_ident(), type(e)))
                     raise
-            inner(item, n, first)
+            inner(item, n, reverse)
 
         monkeypatch.setattr(T, "run_lanes", spy)
         return seen
@@ -498,7 +498,7 @@ class TestLanes:
         x, w, mask = self.case(monkeypatch, rng)
         lanes = self.spy_lanes(monkeypatch)
         bad = mask.copy()
-        bad[1, 3] = NEG                          # chunk 1: lane 0 takes chunk 0 first
+        bad[1, 3] = NEG                          # chunk 1 is lane 1's
         with pytest.raises(DegenerateMaskError, match="fully masked"):
             masked_attention(x, w, self.HEADS, bad)
         assert [(lane, e) for lane, _, e in lanes["raised"]] == [(1, DegenerateMaskError)]
@@ -507,6 +507,29 @@ class TestLanes:
         two = masked_attention(x, w, self.HEADS, mask).data
         use_lanes(monkeypatch, 1)
         assert np.array_equal(two, masked_attention(x, w, self.HEADS, mask).data)
+
+    def test_backward_starts_each_lane_on_the_chunk_it_holds(self, monkeypatch):
+        # eight chunks on two lanes: the forward leaves chunks 6 and 7 in the
+        # lanes' buffers, and the reversed backward starts each lane there,
+        # so it recomputes the other six; each computation reads its mask once
+        use_lanes(monkeypatch, 2)
+        monkeypatch.setattr(T, "_CHUNK_ELEMS", self.HEADS * self.T * self.T)
+        rng = np.random.default_rng(28)
+        q, k, v = (Tensor(rng.standard_normal((8, self.T, self.D)), requires_grad=True)
+                   for _ in range(3))
+        reads = []
+
+        class CountingMask(np.ndarray):
+            def __getitem__(self, key):
+                reads.append(key)
+                return np.asarray(self)[key]
+
+        out = _attend(q, k, v, self.HEADS,
+                      np.zeros((8, 1, self.T, self.T)).view(CountingMask))
+        assert len(reads) == 8
+        reads.clear()
+        T.backward(T.sum_all(out))
+        assert len(reads) == 6
 
     def test_one_helper_thread_is_reused(self, monkeypatch):
         rng = np.random.default_rng(26)

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import shutil
 import struct
 from dataclasses import replace
@@ -126,6 +127,18 @@ class TestGenData:
         assert f"{key} must be" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [("image_size", "100000"),
+                                            ("train_per_class", "1000000000")])
+    def test_split_above_the_size_cap_exit_2(self, tmp_path, capsys, key, value):
+        spec = tmp_path / "big.cfg"
+        spec.write_text(f"{key} = {value}\n")
+        out = tmp_path / "o"
+        assert main(["gen-data", "--spec", str(spec), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "one split's pixels would take" in err and "cap of 256 MiB" in err
+        assert f"{key} = {value}" in err
+        assert not out.exists()
+
     def test_empty_spec_uses_synthetic_spec_defaults(self, tmp_path):
         spec = tmp_path / "empty.cfg"
         spec.write_text("")
@@ -235,6 +248,19 @@ class TestTrain:
                      "--out", str(tmp_path / "o")]) == 3
         assert "non-finite logits or features" in capsys.readouterr().err
 
+    def test_numeric_failure_names_block_and_iteration(self, data_dir, tmp_path, capsys):
+        # at lr 1e8 an early step leaves weights whose assignment logits
+        # overflow in the next forward
+        cfg = write_train_cfg(tmp_path / "t.cfg", data_dir, lr="1e8", iterations_1=30)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["train", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        found = re.search(r"numeric failure: iteration (\d+): block (\d+): gumbel_assign: "
+                          r"non-finite assignment logits", err)
+        assert found, err
+        assert 1 < int(found[1]) <= 30 and found[2] == "0"      # depth = 1
+
     def test_empty_training_split_exit_2(self, data_dir, tmp_path, capsys):
         empty = tmp_path / "data"
         shutil.copytree(data_dir, empty)
@@ -273,6 +299,32 @@ class TestTrain:
         assert main(["train", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
         assert f"{key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [
+        dict(embed_dim="100000"), dict(embed_dim="16", depth="2", mlp_ratio="100000"),
+        dict(depth="100000")], ids=["embed_dim", "mlp_ratio", "depth"])
+    def test_model_above_the_size_cap_exit_2(self, data_dir, tmp_path, capsys, extra):
+        cfg = write_train_cfg(tmp_path / "t.cfg", data_dir, **extra)
+        assert main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "the model parameters would take" in err and "cap of 256 MiB" in err
+        assert all(f"{key} = {value}" in err for key, value in extra.items())
+
+    def test_class_count_above_the_size_cap_exit_2(self, data_dir, tmp_path, capsys):
+        # a head of 2**31 classes would take 256 GiB
+        hostile = tmp_path / "data"
+        shutil.copytree(data_dir, hostile)
+        for path in hostile.glob("*.sdsh"):
+            blob = bytearray(path.read_bytes())
+            struct.pack_into("<I", blob, 24, 2 ** 31)          # the header's num_classes
+            path.write_bytes(bytes(blob))
+        cfg = write_train_cfg(tmp_path / "t.cfg", hostile)
+        assert main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "the model parameters would take" in err
+        assert "num_classes = 2147483648" in err and "from the data" in err
 
     def test_negative_seed_override_exit_2(self, data_dir, tmp_path, capsys):
         cfg = write_train_cfg(tmp_path / "t.cfg", data_dir)

@@ -4,7 +4,7 @@ import pytest
 import samb.model
 import samb.tensor as T
 from samb.attention import GumbelConfig, MessagePassingMode
-from samb.errors import ConfigError
+from samb.errors import ConfigError, NumericError
 from samb.model import ModelConfig, VitSamb
 
 from helpers import finite_diff_grad, rel_err, unpruned_forward, use_lanes
@@ -222,6 +222,15 @@ class TestLayerAssignment:
         logits = model._layer_assignment(q, k, train=False, rng=None).perturbed.data
         assert np.array_equal(logits, expected)
 
+    @pytest.mark.parametrize("block", [0, 1])
+    def test_non_finite_logits_name_the_block(self, block):
+        model = VitSamb(small_cfg(), np.random.default_rng(27))
+        model.blocks[block]["attn"].bq.data[:] = np.inf
+        imgs = np.random.default_rng(28).random((2, 3, 16, 16))
+        with np.errstate(invalid="ignore"), pytest.raises(
+                NumericError, match=f"^block {block}: gumbel_assign: non-finite"):
+            model.forward(imgs, train=True, rng=np.random.default_rng(29))
+
 
 class TestComplexity:
     def test_group_token_param_delta(self):
@@ -235,6 +244,31 @@ class TestComplexity:
         # vanilla trades the N*d group tokens + d fusion query for a d cls token
         delta = samb.param_count() - base.param_count()
         assert delta == n * d + d - d
+
+    @pytest.mark.parametrize("sizes", [
+        {}, dict(image_size=32, patch_size=8, in_channels=1, embed_dim=12, heads=3,
+                 depth=3, mlp_ratio=2, num_classes=7, num_group_tokens=3)])
+    @pytest.mark.parametrize("mode", list(MessagePassingMode))
+    def test_analytic_param_count(self, mode, sizes):
+        cfg = ModelConfig(mode=mode, **sizes)
+        assert cfg.param_count == VitSamb(cfg, np.random.default_rng(0)).param_count()
+
+    def test_size_caps_hold_at_the_boundary(self, monkeypatch):
+        cfg = small_cfg()
+        params, scores = 8 * cfg.param_count, 8 * 2 * cfg.layout.total ** 2
+        for name, nbytes, what in (("MAX_PARAM_BYTES", params, "the model parameters"),
+                                   ("MAX_SCORE_BYTES", scores, "attention scores")):
+            with monkeypatch.context() as m:
+                m.setattr(samb.model, name, nbytes)
+                small_cfg()
+                m.setattr(samb.model, name, nbytes - 1)
+                with pytest.raises(ConfigError, match=f"{what} would take {nbytes} bytes"):
+                    small_cfg()
+
+    def test_attention_scores_above_the_cap(self):
+        # 64 x 64 patches of one pixel: T = 4098 and 2 heads need 256.2 MiB
+        with pytest.raises(ConfigError, match="attention scores would take 268697664 bytes"):
+            small_cfg(image_size=64, patch_size=1)
 
     @pytest.mark.parametrize("size,n", [(16, 1), (16, 2), (16, 4), (64, 4)])
     @pytest.mark.parametrize("mode", list(MessagePassingMode))

@@ -3,6 +3,7 @@
 import ast
 import importlib.util
 import sys
+import types
 from pathlib import Path
 
 import samb
@@ -51,3 +52,34 @@ def test_benchmark_tracer_wiring_resolves(monkeypatch):
     names += [(owner, attr) for owner, attr, _ in tracer.SPANS + tracer.GENERATORS]
     for owner, attr in names:
         tracer._lookup(owner, attr)
+
+
+def test_benchmark_worker_wiring_resolves():
+    # perfbench/worker.py reads samb through module aliases (``cli.main``,
+    # ``trainer_mod.Trainer.run``, ...); a rename that would break the
+    # benchmark's worker fails here first
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    aliases = {alias.asname or alias.name: alias.name
+               for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names if alias.name.startswith("samb.")}
+    assert set(aliases) == {"cli", "data", "model_mod", "T", "trainer_mod"}
+    inner = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    chains = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute) or id(node) in inner:
+            continue
+        attrs = []
+        while isinstance(node, ast.Attribute):
+            attrs.insert(0, node.attr)
+            node = node.value
+        if isinstance(node, ast.Name) and node.id in aliases:
+            chains.add((aliases[node.id], *attrs))
+    assert ("samb.trainer", "Trainer", "run") in chains and len(chains) > 10
+    for module, *attrs in sorted(chains):
+        obj = importlib.import_module(module)
+        for i, attr in enumerate(attrs):
+            assert hasattr(obj, attr), ".".join([module, *attrs[:i + 1]])
+            obj = getattr(obj, attr)
+            if not isinstance(obj, (type, types.ModuleType)):
+                break                            # past a module or class: a value

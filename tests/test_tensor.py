@@ -314,11 +314,53 @@ class TestFusedLayerNormAndMlp:
 
 
 class TestRunLanes:
-    def test_one_lane_runs_its_first_item_then_the_rest_in_order(self, monkeypatch):
-        monkeypatch.setattr(T, "_usable_cpus", lambda: 1)
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("n", [2, 7])
+    def test_two_lanes_take_a_fixed_stride(self, monkeypatch, n, reverse):
+        monkeypatch.setattr(T, "_usable_cpus", lambda: 2)
+        seen = {0: [], 1: []}
+        T.run_lanes(lambda lane, i: seen[lane].append(i), n, reverse=reverse)
+        for lane in (0, 1):
+            share = list(range(lane, n, 2))
+            assert seen[lane] == (share[::-1] if reverse else share)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("cpus, n", [(1, 5), (2, 1), (2, 0)])
+    def test_one_lane_starts_no_helper(self, monkeypatch, cpus, n, reverse):
+        monkeypatch.setattr(T, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(T, "_LANE1", [None])
         seen = []
-        T.run_lanes(lambda lane, i: seen.append((lane, i)), 4, first=(2, 0))
-        assert seen == [(0, 2), (0, 0), (0, 1), (0, 3)]
+        T.run_lanes(lambda lane, i: seen.append((lane, i, threading.get_ident())),
+                    n, reverse=reverse)
+        order = range(n - 1, -1, -1) if reverse else range(n)
+        assert seen == [(0, i, threading.get_ident()) for i in order]
+        assert T._LANE1 == [None]
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_an_error_waits_for_the_other_lanes_share(self, monkeypatch, failing):
+        # the failing lane raises at its first item, once the other lane has
+        # started; the other lane still runs the rest of its share, after
+        # the error, before the caller sees it
+        monkeypatch.setattr(T, "_usable_cpus", lambda: 2)
+        started, raised, seen = threading.Event(), threading.Event(), {0: [], 1: []}
+
+        def fn(lane, i):
+            if lane == failing:
+                if not started.wait(timeout=10):
+                    raise RuntimeError("the other lane did not start")
+                raised.set()
+                raise KeyError(i)
+            if not seen[lane]:
+                started.set()
+            elif not raised.wait(timeout=10):
+                raise RuntimeError("the failing lane did not raise")
+            seen[lane].append(i)
+
+        with pytest.raises(KeyError) as ei:
+            T.run_lanes(fn, 6)
+        assert ei.value.args == (failing,)
+        assert seen[1 - failing] == list(range(1 - failing, 6, 2))
+        assert seen[failing] == []
 
     def test_every_item_runs_once_under_contention(self, monkeypatch):
         # four callers share the one helper thread, with thread switches
@@ -330,7 +372,7 @@ class TestRunLanes:
             try:
                 for _ in range(20):
                     seen = []
-                    T.run_lanes(lambda lane, i: seen.append(i), 50, first=(49, 0))
+                    T.run_lanes(lambda lane, i: seen.append(i), 50, reverse=True)
                     if sorted(seen) != list(range(50)):
                         errors.append(sorted(seen))
             except Exception as e:
@@ -434,6 +476,22 @@ class TestBackward:
         T.backward(loss)
         T.backward(loss)
         assert np.array_equal(w.grad, 2 * np.ones(4))
+
+    def test_loss_no_node_produced(self):
+        loss = Tensor(np.array([2.5]), requires_grad=True)
+        T.backward(loss)
+        assert np.array_equal(loss.grad, [1.0])
+        T.backward(loss)
+        assert np.array_equal(loss.grad, [2.0])
+        constant = Tensor(np.array([2.5]))
+        T.backward(constant)
+        assert constant.grad is None
+
+    def test_leaf_through_two_nodes_adds_to_its_grad(self):
+        w = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        w.grad = np.array([10.0, 20.0])
+        T.backward(T.sum_all(w * 2.0) + T.sum_all(w * 3.0))
+        assert np.array_equal(w.grad, [15.0, 25.0])
 
     def test_shared_subexpression_accumulation(self):
         # y appears twice; compare against a duplicated-subgraph build
@@ -575,10 +633,11 @@ class TestSgd:
     def test_momentum_unrolled(self):
         g = np.array([1.0, -2.0])
         p = Tensor(np.zeros(2), requires_grad=True)
-        state = T.SgdState()
+        velocity = {}
         for _ in range(2):
             p.grad = g.copy()
-            T.sgd_step([p], lr=0.1, momentum=0.9, weight_decay=0.0, state=state)
+            assert T.sgd_step([p], lr=0.1, momentum=0.9, weight_decay=0.0,
+                              velocity=velocity) is velocity
         # hand-unrolled: v1 = g; p1 = -0.1 g; v2 = 0.9 g + g; p2 = p1 - 0.1*1.9 g
         expected = -0.1 * g - 0.1 * 1.9 * g
         assert np.abs(p.data - expected).max() < 1e-12
