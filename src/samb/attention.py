@@ -99,7 +99,7 @@ class AttentionMaskPair:
 class GumbelConfig:
     temperature: float = 1.0
     noise_enabled: bool = True
-    rng_seed: int = 0
+    rng_seed: int = 0            # not read: the noise comes from the caller's generator
 
     def __post_init__(self):
         if self.temperature <= 0:
@@ -175,14 +175,14 @@ def gumbel_assign(soft_logits: Tensor, cfg: GumbelConfig,
     """Hard assignment of each image token (row) to one group token (column).
 
     ``soft_logits`` has shape [..., M, N].  With noise enabled, each entry is
-    perturbed with an independent Gumbel(0, 1) draw before the temperature
-    softmax and the argmax.  Ties break to the lowest index.
+    perturbed by its own Gumbel(0, 1) draw from the caller's ``rng`` before
+    the temperature softmax and the argmax.  Ties break to the lowest index.
     """
     if not np.all(np.isfinite(soft_logits.data)):
         raise NumericError("gumbel_assign: non-finite assignment logits")
     if cfg.noise_enabled:
         if rng is None:
-            rng = np.random.default_rng(cfg.rng_seed)
+            raise ContractError("gumbel_assign: Gumbel noise needs the caller's generator")
         noise = sample_gumbel(rng, soft_logits.shape)
         perturbed = soft_logits + Tensor(noise)
     else:

@@ -2,8 +2,8 @@
 assignment-map export.
 
 Config files are flat ``key=value`` text.  Every command is deterministic
-under identical inputs.  Exit codes: 0 success, 2 config error, 3 numeric
-failure, 4 I/O error.
+under identical inputs.  Exit codes: 0 success, 2 config error or out of
+memory, 3 numeric failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -191,6 +191,9 @@ def cmd_train(args) -> int:
 
 
 _SWEEP_KEYS = {"tokens": "num_group_tokens", "scheme": "scheme", "mode": "mode"}
+# the failures ``main`` maps to an exit code; a sweep records them and goes on
+_EXIT_FAILURES = (ConfigError, ContractError, MemoryError, NumericError,
+                  DegenerateMaskError, FormatError, OSError)
 
 
 def cmd_sweep(args) -> int:
@@ -211,7 +214,7 @@ def cmd_sweep(args) -> int:
             rows.append([args.axis, value, "ok",
                          f"{last.acc_src:.6f}" if last.acc_src is not None else "",
                          f"{last.acc_tgt:.6f}" if last.acc_tgt is not None else ""])
-        except Exception as e:  # record the failure, keep sweeping
+        except _EXIT_FAILURES as e:
             rows.append([args.axis, value, f"error: {e}", "", ""])
     with open(os.path.join(args.out, "sweep.csv"), "w", newline="") as f:
         w = csv.writer(f)
@@ -298,6 +301,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ConfigError, ContractError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:         # a backstop: the size caps should stop it first
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return 2
     except (NumericError, DegenerateMaskError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)

@@ -63,10 +63,9 @@ class SyntheticSpec:
 
 @dataclass
 class Dataset:
-    images: np.ndarray              # [n, C, H, W] float32 in [0, 1]
+    images: np.ndarray              # [n, C, H, W] float32 in [0, 1]; sample i's id is i
     labels: Optional[np.ndarray]    # [n] int64, or None when withheld
     domain: str                     # "source" | "target"
-    sample_ids: np.ndarray          # [n] int64
     num_classes: int
 
     def __len__(self):
@@ -75,7 +74,7 @@ class Dataset:
     def without_labels(self) -> "Dataset":
         """Label-free view handed to the trainer's target path."""
         return Dataset(images=self.images, labels=None, domain=self.domain,
-                       sample_ids=self.sample_ids, num_classes=self.num_classes)
+                       num_classes=self.num_classes)
 
     def save(self, path):
         n, c, h, w = self.images.shape
@@ -143,8 +142,7 @@ class Dataset:
         # an empty split loads as labelled, so it is reported as empty
         return Dataset(images=records["pixels"],
                        labels=None if n and unlabeled.all() else labels,
-                       domain=domain, sample_ids=np.arange(n, dtype=np.int64),
-                       num_classes=ncls)
+                       domain=domain, num_classes=ncls)
 
 
 def _record_dtype(c: int, h: int, w: int) -> np.dtype:
@@ -156,7 +154,7 @@ def _record_dtype(c: int, h: int, w: int) -> np.dtype:
 class DomainBatch:
     images: np.ndarray              # [B, C, H, W] f64
     labels: Optional[np.ndarray]
-    sample_ids: np.ndarray
+    sample_ids: np.ndarray          # [B] positions of the batch's samples in its split
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +239,6 @@ def _make_split(spec: SyntheticSpec, domain: str, split: str) -> Dataset:
         images[i] = _render_sample(spec, label, shifted, np.random.default_rng(ss))
         labels[i] = label
     return Dataset(images=images, labels=labels, domain=domain,
-                   sample_ids=np.arange(n, dtype=np.int64),
                    num_classes=spec.num_classes)
 
 
@@ -269,4 +266,4 @@ def batch_iter(dataset: Dataset, batch_size: int, seed: int,
         idx = order[start:start + batch_size]
         labels = None if dataset.labels is None else dataset.labels[idx]
         yield DomainBatch(images=dataset.images[idx].astype(np.float64),
-                          labels=labels, sample_ids=dataset.sample_ids[idx])
+                          labels=labels, sample_ids=idx)

@@ -13,7 +13,7 @@ from . import tensor as T
 from .attention import (AttentionWeights, GroupAssignment, GumbelConfig,
                         MessagePassingMode, TokenLayout, gumbel_assign,
                         masked_attention, mode_masks)
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DegenerateMaskError, NumericError
 from .tensor import Tensor
 
 # What one config may ask to allocate at most: constants, not config keys
@@ -244,10 +244,7 @@ class VitSamb:
         assignments: list[GroupAssignment] = []
         if cfg.mode.dynamic:
             def mask(q: np.ndarray, k: np.ndarray) -> np.ndarray:
-                try:
-                    assignment = self._layer_assignment(q, k, train, rng)
-                except NumericError as e:            # one assignment per block so far
-                    raise NumericError(f"block {len(assignments)}: {e}") from e
+                assignment = self._layer_assignment(q, k, train, rng)
                 assignments.append(assignment)
                 return mode_masks(cfg.mode, n, m, assignment.hard)
         else:
@@ -263,8 +260,11 @@ class VitSamb:
         for i, blk in enumerate(self.blocks):
             h = T.layer_norm(x, blk["ln1_g"], blk["ln1_b"])
             last = i == cfg.depth - 1
-            a = masked_attention(h, blk["attn"], cfg.heads, mask,
-                                 head if last else slice(None))
+            try:                                 # one place names the block
+                a = masked_attention(h, blk["attn"], cfg.heads, mask,
+                                     head if last else slice(None))
+            except (NumericError, DegenerateMaskError) as e:
+                raise type(e)(f"block {i}: {e}") from e
             if last:
                 x = T.narrow(x, 1, head.start, head.stop - head.start)
             x = x + a

@@ -71,7 +71,7 @@ def refine(feats: np.ndarray, labels: np.ndarray, num_classes: int,
 
 @dataclass
 class PseudoLabelTable:
-    sample_ids: np.ndarray      # [T]
+    """Row i describes sample i of the clustered split."""
     initial_labels: np.ndarray  # [T] y_t
     labels: np.ndarray          # [T] y_t* after refinement
     distances: np.ndarray       # [T] distance to the assigned refined center
@@ -80,14 +80,12 @@ class PseudoLabelTable:
     refined_centers: np.ndarray  # [K, d]
 
 
-def build_table(feats: np.ndarray, probs: np.ndarray,
-                sample_ids: np.ndarray) -> PseudoLabelTable:
+def build_table(feats: np.ndarray, probs: np.ndarray) -> PseudoLabelTable:
     """Full pipeline: weighted centers -> labels -> one refinement round."""
     centers = weighted_centers(feats, probs)
     y0 = assign_labels(feats, centers)
     centers_star, y_star = refine(feats, y0, probs.shape[1], centers)
     dist = _distances(feats, centers_star)[np.arange(len(y_star)), y_star]
-    return PseudoLabelTable(sample_ids=np.asarray(sample_ids),
-                            initial_labels=y0, labels=y_star, distances=dist,
+    return PseudoLabelTable(initial_labels=y0, labels=y_star, distances=dist,
                             max_probs=probs.max(axis=1), centers=centers,
                             refined_centers=centers_star)

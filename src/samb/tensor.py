@@ -205,8 +205,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
-        self.data = np.ascontiguousarray(arr)
+        self.data = np.asarray(data, dtype=np.float64, order="C")
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
 

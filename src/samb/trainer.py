@@ -206,12 +206,10 @@ class Trainer:
         records no tape."""
         logits, feats = _infer(self.model, self.target_train, self.cfg.batch_size)
         probs = T.softmax(T.Tensor(logits), axis=1).data
-        table = build_table(feats, probs, self.target_train.sample_ids)
+        table = build_table(feats, probs)
         if len(np.unique(table.labels)) == 1:
             print("warning: degenerate pseudo-labels (single class)", file=sys.stderr)
-        labels = np.empty(len(self.target_train), dtype=np.int64)
-        labels[table.sample_ids] = table.labels
-        self.pseudo_labels = labels
+        self.pseudo_labels = table.labels
         self.last_pseudo_table = table
 
     def _step(self, kind: str, lam: float):

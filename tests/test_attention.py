@@ -109,6 +109,10 @@ class TestGumbelAssign:
             T.backward(T.sum_all(a2.soft * Tensor(c)))
             assert np.abs(hard_grad - x2.grad).max() < 1e-12
 
+    def test_noise_needs_the_callers_generator(self):
+        with pytest.raises(ContractError, match="caller's generator"):
+            gumbel_assign(Tensor(np.zeros((3, 2))), GumbelConfig())
+
     def test_forward_is_one_hot_with_noise(self):
         rng = np.random.default_rng(2)
         a = gumbel_assign(Tensor(rng.standard_normal((8, 4))),

@@ -7,11 +7,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import samb.cli
+import samb.model
 import samb.tensor as T
 from samb.alignment import GrlConfig
 from samb.cli import main, parse_config, train_config_from
 from samb.data import Dataset, SyntheticSpec, generate
-from samb.errors import ConfigError
+from samb.errors import ConfigError, FormatError
 from samb.model import ModelConfig, VitSamb
 from samb.attention import GumbelConfig, MessagePassingMode
 from samb.trainer import Scheme, TrainConfig
@@ -220,7 +222,6 @@ class TestTrain:
         for name in ("source_train", "source_eval", "target_train", "target_eval"):
             ds = Dataset.load(hostile / f"{name}.sdsh", name.split("_")[0])
             Dataset(images=ds.images[:, :0], labels=ds.labels, domain=ds.domain,
-                    sample_ids=ds.sample_ids,
                     num_classes=ds.num_classes).save(hostile / f"{name}.sdsh")
         cfg = write_train_cfg(tmp_path / "t.cfg", hostile)
         assert main(["train", "--config", str(cfg),
@@ -261,12 +262,41 @@ class TestTrain:
         assert found, err
         assert 1 < int(found[1]) <= 30 and found[2] == "0"      # depth = 1
 
+    def test_fully_masked_row_names_block_and_iteration(self, data_dir, tmp_path,
+                                                        capsys, monkeypatch):
+        # depth 2: the masks of iteration 1 are source block 0, 1, target block 0, 1
+        masks, calls = samb.model.mode_masks, []
+
+        def cut(*args):
+            mask = masks(*args)
+            if len(calls) == 3:
+                mask[..., 0, :] = -np.inf
+            calls.append(mask)
+            return mask
+
+        monkeypatch.setattr(samb.model, "mode_masks", cut)
+        cfg = write_train_cfg(tmp_path / "t.cfg", data_dir, depth=2)
+        assert main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 3
+        assert ("numeric failure: iteration 1: block 1: softmax: a row is fully masked"
+                in capsys.readouterr().err)
+
+    def test_out_of_memory_exit_2(self, data_dir, tmp_path, capsys, monkeypatch):
+        def run(raw, out_dir):
+            raise MemoryError("Unable to allocate 20.0 GiB for an array")
+
+        monkeypatch.setattr(samb.cli, "_run_training", run)
+        cfg = write_train_cfg(tmp_path / "t.cfg", data_dir)
+        assert main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert ("error: out of memory: Unable to allocate 20.0 GiB for an array"
+                in capsys.readouterr().err)
+
     def test_empty_training_split_exit_2(self, data_dir, tmp_path, capsys):
         empty = tmp_path / "data"
         shutil.copytree(data_dir, empty)
         ds = Dataset.load(empty / "target_train.sdsh", "target")
         Dataset(images=ds.images[:0], labels=None, domain="target",
-                sample_ids=ds.sample_ids[:0],
                 num_classes=ds.num_classes).save(empty / "target_train.sdsh")
         cfg = write_train_cfg(tmp_path / "t.cfg", empty)
         assert main(["train", "--config", str(cfg),
@@ -280,7 +310,6 @@ class TestTrain:
         shutil.copytree(data_dir, empty)
         ds = Dataset.load(empty / f"{split}.sdsh", split.split("_")[0])
         Dataset(images=ds.images[:0], labels=None, domain=ds.domain,
-                sample_ids=ds.sample_ids[:0],
                 num_classes=ds.num_classes).save(empty / f"{split}.sdsh")
         cfg = write_train_cfg(tmp_path / "t.cfg", empty)
         assert main(["train", "--config", str(cfg),
@@ -437,6 +466,27 @@ class TestSweep:
         assert rows[1].startswith("tokens,2,ok")
         assert rows[2].startswith("tokens,999,error")
 
+    def test_a_bug_in_a_point_stops_the_sweep(self, data_dir, tmp_path, monkeypatch):
+        def run(raw, out_dir):
+            raise TypeError("a bug")
+
+        monkeypatch.setattr(samb.cli, "_run_training", run)
+        cfg = write_train_cfg(tmp_path / "t.cfg", data_dir)
+        with pytest.raises(TypeError, match="a bug"):
+            main(["sweep", "--axis", "tokens", "--values", "1,2",
+                  "--config", str(cfg), "--out", str(tmp_path / "sweep")])
+
+    @pytest.mark.parametrize("error", samb.cli._EXIT_FAILURES)
+    def test_each_recorded_failure_has_an_exit_code(self, data_dir, tmp_path,
+                                                    monkeypatch, error):
+        def run(raw, out_dir):
+            raise error("failed", 0) if error is FormatError else error("failed")
+
+        monkeypatch.setattr(samb.cli, "_run_training", run)
+        cfg = write_train_cfg(tmp_path / "t.cfg", data_dir)
+        assert main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) in (2, 3, 4)
+
 
 class TestExportAttn:
     def test_grids_match_in_process_assignments(self, data_dir, tmp_path):
@@ -461,9 +511,9 @@ class TestExportAttn:
         model.load(ckpt)
         ds = Dataset.load(data, "target")
         fwd = model.forward(ds.images.astype(np.float64), train=False)
-        for sid in ds.sample_ids:
-            text = (out / f"sample_{int(sid):05d}.txt").read_text()
-            hard = fwd.assignments[0].hard[int(sid)]
+        for sid in range(len(ds)):
+            text = (out / f"sample_{sid:05d}.txt").read_text()
+            hard = fwd.assignments[0].hard[sid]
             expected = ["layer 0"]
             for row in range(2):
                 expected.append(" ".join(str(int(c))

@@ -93,7 +93,7 @@ class TestSdshFormat:
         ds = generate(tiny_spec())["target_eval"]
         path = tmp_path / "e.sdsh"
         Dataset(images=ds.images[:0], labels=None, domain="target",
-                sample_ids=ds.sample_ids[:0], num_classes=4).save(path)
+                num_classes=4).save(path)
         loaded = Dataset.load(path, domain="target")
         assert len(loaded) == 0
         assert loaded.labels.dtype == np.int64 and loaded.labels.shape == (0,)

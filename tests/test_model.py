@@ -3,8 +3,8 @@ import pytest
 
 import samb.model
 import samb.tensor as T
-from samb.attention import GumbelConfig, MessagePassingMode
-from samb.errors import ConfigError, NumericError
+from samb.attention import GumbelConfig, MessagePassingMode, mode_masks
+from samb.errors import ConfigError, ContractError, DegenerateMaskError, NumericError
 from samb.model import ModelConfig, VitSamb
 
 from helpers import finite_diff_grad, rel_err, unpruned_forward, use_lanes
@@ -230,6 +230,37 @@ class TestLayerAssignment:
         with np.errstate(invalid="ignore"), pytest.raises(
                 NumericError, match=f"^block {block}: gumbel_assign: non-finite"):
             model.forward(imgs, train=True, rng=np.random.default_rng(29))
+
+    def test_training_forward_needs_a_generator(self):
+        model = VitSamb(small_cfg(gumbel=GumbelConfig()), np.random.default_rng(30))
+        imgs = np.random.default_rng(31).random((2, 3, 16, 16))
+        with pytest.raises(ContractError, match="caller's generator"):
+            model.forward(imgs, train=True)
+
+    @pytest.mark.parametrize("block", [0, 1])
+    @pytest.mark.parametrize("mode", [MessagePassingMode.SAMB, MessagePassingMode.SAMB_D])
+    def test_fully_masked_row_names_the_block(self, monkeypatch, mode, block):
+        model = VitSamb(small_cfg(mode=mode), np.random.default_rng(32))
+        calls = []
+
+        def cut(mask):                   # the mask of block ``block`` cuts row 0
+            mask = np.array(mask)
+            if len(calls) == block:
+                mask[..., 0, :] = -np.inf
+            calls.append(mask)
+            return mask
+
+        if mode.dynamic:
+            masks = samb.model.mode_masks
+            monkeypatch.setattr(samb.model, "mode_masks", lambda *a: cut(masks(*a)))
+        else:                            # one mask function in place of the shared mask
+            static = mode_masks(mode, 2, 16)
+            model._static_mask = lambda q, k: cut(static)
+        imgs = np.random.default_rng(33).random((2, 3, 16, 16))
+        with pytest.raises(DegenerateMaskError,
+                           match=f"^block {block}: softmax: a row is fully masked"):
+            model.forward(imgs)
+        assert len(calls) == block + 1
 
 
 class TestComplexity:

@@ -52,7 +52,7 @@ def dataset_blob(tmp_path_factory) -> tuple[bytes, list[int], list[int]]:
     images = rng.random((3, 2, 3, 4)).astype(np.float32)
     path = tmp_path_factory.mktemp("fuzz") / "seed.sdsh"
     Dataset(images=images, labels=np.array([0, 2, -1]), domain="source",
-            sample_ids=np.arange(3), num_classes=3).save(path)
+            num_classes=3).save(path)
     sample_bytes = 4 + 4 * 2 * 3 * 4
     return (path.read_bytes(),
             [4, 8, 12, 16, 20, 24] + [28 + i * sample_bytes for i in range(3)],

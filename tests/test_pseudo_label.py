@@ -157,8 +157,8 @@ class TestPermutationEquivariance:
         probs = rng.random((30, 3))
         probs /= probs.sum(axis=1, keepdims=True)
         perm = np.array([2, 0, 1])
-        t1 = build_table(feats, probs, np.arange(30))
-        t2 = build_table(feats, probs[:, perm], np.arange(30))
+        t1 = build_table(feats, probs)
+        t2 = build_table(feats, probs[:, perm])
         inv = np.argsort(perm)
         assert np.array_equal(inv[t1.labels], t2.labels)
         assert np.abs(t1.refined_centers - t2.refined_centers[inv]).max() < 1e-12

@@ -20,6 +20,33 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_catch_all_handlers():
+    # a bug must surface as its own traceback, not as a recorded failure
+    sources = sorted(Path(samb.__file__).parent.glob("*.py"))
+    found = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(t is None or (isinstance(t, ast.Name)
+                                 and t.id in ("Exception", "BaseException"))
+                   for t in caught):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_gumbel_noise_comes_from_the_caller():
+    # the trainer's generator is the one noise stream; the model makes none
+    found = []
+    for name in ("attention.py", "model.py"):
+        path = Path(samb.__file__).parent / name
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if "default_rng" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
+
+
 def test_only_the_tensor_module_imports_threads():
     # one owner of process-wide policy: the lanes of samb.tensor.run_lanes
     # and the heap policy that ctypes sets

@@ -487,6 +487,15 @@ class TestBackward:
         T.backward(constant)
         assert constant.grad is None
 
+    def test_zero_d_values_stay_zero_d(self):
+        assert Tensor(np.array(2.5)).shape == ()
+        x = Tensor(np.ones((2, 3)))
+        assert T.sum_all(x).shape == T.mean_all(x).shape == ()
+        assert T.cross_entropy(x, [0, 2]).shape == ()
+        w = Tensor(np.array(1.5), requires_grad=True)
+        T.backward(w * w)
+        assert w.grad.shape == () and w.grad == 3.0
+
     def test_leaf_through_two_nodes_adds_to_its_grad(self):
         w = Tensor(np.array([1.0, -2.0]), requires_grad=True)
         w.grad = np.array([10.0, 20.0])
@@ -667,7 +676,9 @@ class TestCheckpoint:
         T.save_checkpoint(path, params)
         loaded = T.load_checkpoint(path)
         assert set(loaded) == set(params)
+        assert params["scalar"].shape == ()
         for k in params:
+            assert loaded[k].shape == params[k].shape
             assert loaded[k].data.tobytes() == params[k].data.tobytes()
 
     def test_bad_magic(self, tmp_path):

@@ -44,7 +44,7 @@ def make_trainer(splits, **kw):
 
 def empty_like(ds):
     return Dataset(images=ds.images[:0], labels=ds.labels[:0], domain=ds.domain,
-                   sample_ids=ds.sample_ids[:0], num_classes=ds.num_classes)
+                   num_classes=ds.num_classes)
 
 
 def param_bytes(trainer):
@@ -108,8 +108,7 @@ class TestRunMechanics:
     def test_empty_training_split_rejected(self, splits, split):
         ds = splits[split]
         empty = Dataset(images=ds.images[:0], labels=ds.labels[:0],
-                        domain=ds.domain, sample_ids=ds.sample_ids[:0],
-                        num_classes=ds.num_classes)
+                        domain=ds.domain, num_classes=ds.num_classes)
         with pytest.raises(ConfigError, match="empty"):
             make_trainer({**splits, split: empty})
 
