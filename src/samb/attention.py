@@ -171,19 +171,23 @@ def sample_gumbel(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def gumbel_assign(soft_logits: Tensor, cfg: GumbelConfig,
-                  rng: Optional[np.random.Generator] = None) -> GroupAssignment:
+                  rng: Optional[np.random.Generator] = None,
+                  noise: Optional[np.ndarray] = None) -> GroupAssignment:
     """Hard assignment of each image token (row) to one group token (column).
 
     ``soft_logits`` has shape [..., M, N].  With noise enabled, each entry is
-    perturbed by its own Gumbel(0, 1) draw from the caller's ``rng`` before
-    the temperature softmax and the argmax.  Ties break to the lowest index.
+    perturbed by its own Gumbel(0, 1) draw before the temperature softmax
+    and the argmax: the matching entry of ``noise``, drawn by the caller
+    with ``sample_gumbel``, or else a draw from the caller's ``rng``.  Ties
+    break to the lowest index.
     """
     if not np.all(np.isfinite(soft_logits.data)):
         raise NumericError("gumbel_assign: non-finite assignment logits")
     if cfg.noise_enabled:
-        if rng is None:
-            raise ContractError("gumbel_assign: Gumbel noise needs the caller's generator")
-        noise = sample_gumbel(rng, soft_logits.shape)
+        if noise is None:
+            if rng is None:
+                raise ContractError("gumbel_assign: Gumbel noise needs the caller's generator")
+            noise = sample_gumbel(rng, soft_logits.shape)
         perturbed = soft_logits + Tensor(noise)
     else:
         perturbed = soft_logits

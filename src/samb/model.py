@@ -12,8 +12,8 @@ import numpy as np
 from . import tensor as T
 from .attention import (AttentionWeights, GroupAssignment, GumbelConfig,
                         MessagePassingMode, TokenLayout, gumbel_assign,
-                        masked_attention, mode_masks)
-from .errors import ConfigError, DegenerateMaskError, NumericError
+                        masked_attention, mode_masks, sample_gumbel)
+from .errors import ConfigError, ContractError, DegenerateMaskError, NumericError
 from .tensor import Tensor
 
 # What one config may ask to allocate at most: constants, not config keys
@@ -208,13 +208,15 @@ class VitSamb:
         return x.reshape(b, g * g, p * p * c)
 
     def _layer_assignment(self, q: np.ndarray, k: np.ndarray, train: bool,
-                          rng: Optional[np.random.Generator]) -> GroupAssignment:
+                          rng: Optional[np.random.Generator],
+                          noise: Optional[np.ndarray] = None) -> GroupAssignment:
         """Gumbel assignment from this layer's own attention projections.
 
         Logits are the full-dimension Q_p.K_g products of the M patch rows of
         ``q`` with the N group rows of ``k``, the [B, T, d] projections that
         ``masked_attention`` made; the resulting hard mask enters attention as
         a constant so the loss stays locally differentiable in every parameter.
+        ``noise`` holds this block's Gumbel draws when the forward made them.
         """
         cfg = self.cfg
         layout = cfg.layout
@@ -222,10 +224,49 @@ class VitSamb:
         kg = k[:, layout.group_start:layout.patch_start]
         logits = np.matmul(qp, np.swapaxes(kg, -1, -2)) / np.sqrt(cfg.embed_dim)
         gcfg = cfg.gumbel if train else replace(cfg.gumbel, noise_enabled=False)
-        return gumbel_assign(Tensor(logits), gcfg, rng)
+        return gumbel_assign(Tensor(logits), gcfg, rng, noise)
 
     def forward(self, images: np.ndarray, train: bool = False,
-                rng: Optional[np.random.Generator] = None) -> ForwardResult:
+                rng: Optional[np.random.Generator] = None,
+                split: Optional[int] = None):
+        """The ForwardResult of a batch; with ``split``, of each of two.
+
+        With ``split``, the first ``split`` rows of ``images`` are one
+        domain's batch and the others another's.  The backbone and the
+        fusion head run once over both, under ``T.batch_split``, and the
+        classifier head runs on each domain's features: it is one [B, d]
+        product, whose rows BLAS may round by B (a one-sample batch's goes to
+        gemv).  Every output and gradient then has the bits of two separate
+        forwards, and the Gumbel noise is drawn in their order.  The
+        per-domain fusion weights and assignments are plain values.
+        """
+        b = images.shape[0]
+        if split is None:
+            fused, weights, assignments = self._features(images, train, rng, (b,))
+            return ForwardResult(self._head(fused), fused, weights, assignments)
+        if not 0 < split < b:
+            raise ContractError(f"forward: split {split} leaves a batch of {b} empty")
+        with T.batch_split(split):
+            fused, weights, assignments = self._features(images, train, rng,
+                                                         (split, b - split))
+        results = []
+        for rows in (slice(0, split), slice(split, b)):
+            feature = T.narrow(fused, 0, rows.start, rows.stop - rows.start)
+            results.append(ForwardResult(
+                logits=self._head(feature), feature=feature,
+                fusion_weights=Tensor(weights.data[rows]),
+                assignments=[replace(a, hard=a.hard[rows],
+                                     perturbed=Tensor(a.perturbed.data[rows]))
+                             for a in assignments]))
+        return tuple(results)
+
+    def _head(self, fused: Tensor) -> Tensor:
+        return T.linear(fused, self.head_w, self.head_b)
+
+    def _features(self, images: np.ndarray, train: bool,
+                  rng: Optional[np.random.Generator], sizes: tuple):
+        """(fused feature, fusion weights, assignments) of the batches of
+        ``sizes`` rows stacked in ``images``."""
         cfg = self.cfg
         layout = cfg.layout
         b = images.shape[0]
@@ -242,24 +283,32 @@ class VitSamb:
         x = T.concat(parts + [x], axis=1)        # every mode has one or both
 
         assignments: list[GroupAssignment] = []
-        if cfg.mode.dynamic:
+        noise = [None] * cfg.depth
+        if cfg.mode.dynamic and train and cfg.gumbel.noise_enabled and rng is not None:
+            # rng.random fills in order: each batch's draws for every block,
+            # one batch after the other, are what separate forwards drew
+            noise = np.concatenate([sample_gumbel(rng, (cfg.depth, rows, m, n))
+                                    for rows in sizes], axis=1)
+
+        def dynamic_mask(i: int):
             def mask(q: np.ndarray, k: np.ndarray) -> np.ndarray:
-                assignment = self._layer_assignment(q, k, train, rng)
+                assignment = self._layer_assignment(q, k, train, rng, noise[i])
                 assignments.append(assignment)
                 return mode_masks(cfg.mode, n, m, assignment.hard)
-        else:
+            return mask
+
+        if not cfg.mode.dynamic and self._static_mask is None:
             # it depends only on the config; read-only, so that an in-place
             # write raises instead of corrupting later forwards
-            if self._static_mask is None:
-                self._static_mask = mode_masks(cfg.mode, n, m)
-                self._static_mask.flags.writeable = False
-            mask = self._static_mask
+            self._static_mask = mode_masks(cfg.mode, n, m)
+            self._static_mask.flags.writeable = False
         # the last block computes only the rows the head reads; its keys and
         # values still cover every token
         head = layout.head_rows
         for i, blk in enumerate(self.blocks):
             h = T.layer_norm(x, blk["ln1_g"], blk["ln1_b"])
             last = i == cfg.depth - 1
+            mask = dynamic_mask(i) if cfg.mode.dynamic else self._static_mask
             try:                                 # one place names the block
                 a = masked_attention(h, blk["attn"], cfg.heads, mask,
                                      head if last else slice(None))
@@ -280,9 +329,7 @@ class VitSamb:
         else:
             fused = T.reshape(T.narrow(x, 1, 0, 1), (b, d))  # class token
             weights = Tensor(np.ones((b, 1)))
-        logits = T.linear(fused, self.head_w, self.head_b)
-        return ForwardResult(logits=logits, feature=fused,
-                             fusion_weights=weights, assignments=assignments)
+        return fused, weights, assignments
 
     # -- complexity ---------------------------------------------------------
 

@@ -156,12 +156,13 @@ def run_lanes(fn: Callable[[int, int], None], n: int, reverse: bool = False) -> 
 
 
 class TapeNode:
-    __slots__ = ("inputs", "output", "backward_fn")
+    __slots__ = ("inputs", "output", "backward_fn", "split")
 
-    def __init__(self, inputs, output, backward_fn):
+    def __init__(self, inputs, output, backward_fn, split):
         self.inputs = inputs
         self.output = output
         self.backward_fn = backward_fn
+        self.split = split                      # see ``batch_split``
 
 
 class GradientTape:
@@ -176,6 +177,9 @@ class GradientTape:
 
 _TAPE = GradientTape()
 _RECORDING = [True]
+# rows of the first of two stacked batches: while recording under
+# ``batch_split``, and while the backward of a node recorded there runs
+_SPLIT: list[Optional[int]] = [None]
 
 
 def tape() -> GradientTape:
@@ -199,6 +203,27 @@ def no_grad():
         yield
     finally:
         _RECORDING[0] = previous
+
+
+@contextlib.contextmanager
+def batch_split(rows: int):
+    """Record the nodes made inside the ``with`` block as over two batches
+    stacked on axis 0, the first ``rows`` rows one batch and the rest the
+    other.
+
+    Wherever their backward sums over that axis (``_reduce_to`` and the
+    layer norm's affine gradients), it sums each batch's rows on its own
+    and adds the two sums: the bits that two separate passes give, whose
+    gradients the walk adds.  A sum over all rows at once rounds otherwise.
+    A product of 2-D operands sums its rows inside one BLAS call, which no
+    split reaches: keep such ops out of the ``with`` block.
+    """
+    previous = _SPLIT[0]
+    _SPLIT[0] = rows
+    try:
+        yield
+    finally:
+        _SPLIT[0] = previous
 
 
 class Tensor:
@@ -259,11 +284,18 @@ def _record(output: Tensor, inputs: Sequence[Tensor],
     unless inside ``no_grad``."""
     if _RECORDING[0] and any(t.requires_grad for t in inputs):
         output.requires_grad = True
-        _TAPE.nodes.append(TapeNode(tuple(inputs), output, backward_fn))
+        _TAPE.nodes.append(TapeNode(tuple(inputs), output, backward_fn, _SPLIT[0]))
     return output
 
 
-def _reduce_to(grad: np.ndarray, shape: tuple) -> np.ndarray:
+def _by_batch(reduce: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+    """``reduce(x)`` for a reduction over axis 0 (and maybe more); under a
+    ``batch_split``, the sum of ``reduce`` over each batch's rows."""
+    rows = _SPLIT[0]
+    return reduce(x) if rows is None else reduce(x[:rows]) + reduce(x[rows:])
+
+
+def _sum_to(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum ``grad`` over axes that were broadcast from ``shape``."""
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
@@ -271,6 +303,14 @@ def _reduce_to(grad: np.ndarray, shape: tuple) -> np.ndarray:
         if dim == 1 and grad.shape[ax] != 1:
             grad = grad.sum(axis=ax, keepdims=True)
     return grad.reshape(shape)
+
+
+def _reduce_to(grad: np.ndarray, shape: tuple) -> np.ndarray:
+    """``_sum_to``; one that sums leading axes does so per batch under a
+    ``batch_split``."""
+    if grad.ndim > len(shape):
+        return _by_batch(lambda g: _sum_to(g, shape), grad)
+    return _sum_to(grad, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -612,10 +652,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     y += beta.data
     out = Tensor(y)
 
+    def rows_sum(y: np.ndarray) -> np.ndarray:
+        return np.add.reduce(y.reshape(-1, d), axis=0)
+
     def backward(g):
         gxhat = g * xhat
-        ggamma = np.add.reduce(gxhat.reshape(-1, d), axis=0)
-        gbeta = np.add.reduce(g.reshape(-1, d), axis=0)
+        ggamma = _by_batch(rows_sum, gxhat)
+        gbeta = _by_batch(rows_sum, g)
         gx = g * gamma.data
         mean = np.add.reduce(gx, axis=-1, keepdims=True)
         mean /= d
@@ -680,15 +723,20 @@ def backward(loss: Tensor):
     if loss.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
     pending = {id(loss): (loss, np.ones_like(loss.data))}    # id -> (tensor, grad)
-    for node in reversed(_TAPE.nodes):
-        entry = pending.pop(id(node.output), None)
-        if entry is None:
-            continue
-        for inp, gi in zip(node.inputs, node.backward_fn(entry[1])):
-            if gi is None or not inp.requires_grad:
+    previous = _SPLIT[0]
+    try:
+        for node in reversed(_TAPE.nodes):
+            entry = pending.pop(id(node.output), None)
+            if entry is None:
                 continue
-            key = id(inp)
-            pending[key] = (inp, gi if key not in pending else pending[key][1] + gi)
+            _SPLIT[0] = node.split
+            for inp, gi in zip(node.inputs, node.backward_fn(entry[1])):
+                if gi is None or not inp.requires_grad:
+                    continue
+                key = id(inp)
+                pending[key] = (inp, gi if key not in pending else pending[key][1] + gi)
+    finally:
+        _SPLIT[0] = previous
     for leaf, g in pending.values():
         if leaf.requires_grad:
             leaf.grad = g if leaf.grad is None else leaf.grad + g

@@ -221,8 +221,8 @@ class Trainer:
         if kind in ("pst", "joint") and (first or self.pseudo_labels is None):
             self.refresh_pseudo_labels()
 
-        out_s = self.model.forward(sb.images, train=True, rng=self.gumbel_rng)
-        out_t = self.model.forward(tb.images, train=True, rng=self.gumbel_rng)
+        out_s, out_t = self.model.forward(np.concatenate([sb.images, tb.images]), train=True,
+                                          rng=self.gumbel_rng, split=len(sb.images))
         total = T.cross_entropy(out_s.logits, sb.labels)
         l_cls = total.item()
         if kind in ("pst", "joint"):

@@ -5,6 +5,7 @@ import threading
 import numpy as np
 
 import samb.tensor as T
+from samb.alignment import domain_loss, grl
 from samb.attention import GumbelConfig, gumbel_assign, masked_attention, mode_masks
 from samb.model import ForwardResult
 
@@ -205,3 +206,33 @@ def unpruned_forward(model, images, train: bool = False, rng=None):
     logits = T.linear(fused, model.head_w, model.head_b)
     return ForwardResult(logits=logits, feature=fused,
                          fusion_weights=weights, assignments=assignments)
+
+
+def two_forward_step(trainer, kind: str, lam: float):
+    """``Trainer._step`` as it was with one training forward per domain:
+    the source batch's, then the target batch's, each drawing its own
+    Gumbel noise from the trainer's generator.  Leaves the gradients on the
+    parameters, takes no SGD step and returns (l_cls, l_d).  The paired
+    forward must match it bit for bit."""
+    T.clear_tape()
+    for p in trainer._all_params():
+        p.zero_grad()
+    sb, _, _ = next(trainer._src_iter)
+    tb, _, first = next(trainer._tgt_iter)
+    if kind in ("pst", "joint") and (first or trainer.pseudo_labels is None):
+        trainer.refresh_pseudo_labels()
+    out_s = trainer.model.forward(sb.images, train=True, rng=trainer.gumbel_rng)
+    out_t = trainer.model.forward(tb.images, train=True, rng=trainer.gumbel_rng)
+    total = T.cross_entropy(out_s.logits, sb.labels)
+    l_cls = total.item()
+    if kind in ("pst", "joint"):
+        tgt_cls = T.cross_entropy(out_t.logits, trainer.pseudo_labels[tb.sample_ids])
+        l_cls += tgt_cls.item()
+        total = total + tgt_cls
+    l_d = 0.0
+    if kind in ("ada", "joint"):
+        ld = domain_loss(grl(out_s.feature, lam), grl(out_t.feature, lam), trainer.disc)
+        l_d = ld.item()
+        total = total + ld
+    T.backward(total)
+    return l_cls, l_d

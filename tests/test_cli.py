@@ -264,12 +264,13 @@ class TestTrain:
 
     def test_fully_masked_row_names_block_and_iteration(self, data_dir, tmp_path,
                                                         capsys, monkeypatch):
-        # depth 2: the masks of iteration 1 are source block 0, 1, target block 0, 1
+        # depth 2: the masks of iteration 1 are block 0, 1 of the paired
+        # source and target pass
         masks, calls = samb.model.mode_masks, []
 
         def cut(*args):
             mask = masks(*args)
-            if len(calls) == 3:
+            if len(calls) == 1:
                 mask[..., 0, :] = -np.inf
             calls.append(mask)
             return mask

@@ -151,6 +151,43 @@ def forward_and_grads(forward, model, imgs, train):
     return result
 
 
+def output_bytes(out, rows=slice(None)):
+    """The bytes of each output of a ForwardResult, restricted to ``rows``."""
+    result = {"logits": out.logits.data[rows], "feature": out.feature.data[rows],
+              "fusion_weights": out.fusion_weights.data[rows]}
+    result.update({f"hard{i}": a.hard[rows] for i, a in enumerate(out.assignments)})
+    return {k: np.ascontiguousarray(v).tobytes() for k, v in result.items()}
+
+
+class TestBatchInvariance:
+    """A forward computes each sample on its own, so a forward over two
+    stacked batches gives each one the bits of its own forward."""
+
+    @pytest.mark.parametrize("sizes", [(3, 2), (3, 1)], ids=["3+2", "3+1"])
+    @pytest.mark.parametrize("mode", list(MessagePassingMode))
+    def test_paired_forward_matches_separate_forwards(self, mode, sizes):
+        model = VitSamb(small_cfg(mode=mode, num_group_tokens=4), np.random.default_rng(34))
+        imgs = np.random.default_rng(35).random((sum(sizes), 3, 16, 16))
+        parts = imgs[:sizes[0]], imgs[sizes[0]:]
+        separate = [output_bytes(model.forward(part, train=True)) for part in parts]
+        paired = model.forward(imgs, train=True, split=sizes[0])
+        assert [output_bytes(out) for out in paired] == separate
+        # the whole batch's rows too, up to the head: BLAS may round the rows
+        # of its one [B, d] product by B (a one-sample batch's goes to
+        # gemv), so the paired forward runs the head on each batch
+        whole = model.forward(imgs, train=True)
+        for rows, expected in zip((slice(0, sizes[0]), slice(sizes[0], None)), separate):
+            got = output_bytes(whole, rows)
+            del got["logits"], expected["logits"]
+            assert got == expected
+
+    @pytest.mark.parametrize("split", [0, 4])
+    def test_split_must_leave_two_batches(self, split):
+        model = VitSamb(small_cfg(), np.random.default_rng(36))
+        with pytest.raises(ContractError, match="empty"):
+            model.forward(np.zeros((4, 3, 16, 16)), split=split)
+
+
 class TestStaticMask:
     @pytest.mark.parametrize("mode", list(MessagePassingMode))
     def test_static_mask_is_built_once_and_read_only(self, monkeypatch, mode):

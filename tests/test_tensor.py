@@ -453,6 +453,59 @@ class TestNoGrad:
         assert np.array_equal(w.grad, 2 * np.ones(3))
 
 
+class TestBatchSplit:
+    """Nodes recorded under ``batch_split`` give every input the bits of two
+    separate graphs, one per batch, whose gradients the walk adds."""
+
+    OPS = {
+        "linear": lambda x, p: T.linear(x, p["w"], p["b"]),
+        "mlp": lambda x, p: T.mlp(x, p["w"], p["b"], p["w2"], p["b2"]),
+        "layer_norm": lambda x, p: T.layer_norm(x, p["g"], p["b"]),
+        "broadcast_add": lambda x, p: x + p["pos"],
+        "broadcast_to": lambda x, p: x + T.broadcast_to(p["b"], x.shape),
+        "matmul": lambda x, p: x @ p["w"],
+    }
+
+    @pytest.mark.parametrize("op", list(OPS))
+    def test_grads_match_two_graphs(self, op):
+        rng = np.random.default_rng(40)
+        params = {"w": leaf(rng, 16, 16), "b": leaf(rng, 16), "w2": leaf(rng, 16, 16),
+                  "b2": leaf(rng, 16), "g": leaf(rng, 16), "pos": leaf(rng, 20, 16)}
+        x = leaf(rng, 13, 20, 16)
+        c = Tensor(rng.standard_normal((13, 20, 16)))
+
+        def grads(paired: bool):
+            T.clear_tape()
+            for t in [x, *params.values()]:
+                t.zero_grad()
+            if paired:
+                with T.batch_split(9):
+                    out = self.OPS[op](x, params)
+                loss = T.sum_all(out * c)
+            else:
+                loss = sum((T.sum_all(self.OPS[op](T.narrow(x, 0, start, n), params)
+                                      * T.narrow(c, 0, start, n))
+                            for start, n in ((0, 9), (9, 4))), Tensor(0.0))
+            T.backward(loss)
+            return {k: None if t.grad is None else t.grad.tobytes()
+                    for k, t in [("x", x), *params.items()]}
+
+        assert grads(paired=True) == grads(paired=False)
+
+    def test_backward_ends_the_split_after_an_exception(self):
+        w = Tensor(np.ones((4, 3)), requires_grad=True)
+
+        def fail(g):
+            raise ContractError("backward failed")
+
+        with T.batch_split(2):
+            out = T.custom_op(w.data.copy(), (w,), fail)
+        with pytest.raises(ContractError):
+            T.backward(T.sum_all(out))
+        T.sum_all(w)
+        assert T.tape().nodes[-1].split is None
+
+
 class TestBackward:
     def test_sum_gives_ones(self):
         w = Tensor(np.random.default_rng(9).standard_normal((3, 4)),

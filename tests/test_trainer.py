@@ -11,6 +11,8 @@ from samb.errors import ConfigError
 from samb.model import ModelConfig
 from samb.trainer import MetricLog, MetricRecord, Scheme, TrainConfig, Trainer, evaluate
 
+from helpers import two_forward_step
+
 
 @pytest.fixture(autouse=True)
 def fresh_tape():
@@ -49,6 +51,11 @@ def empty_like(ds):
 
 def param_bytes(trainer):
     return {k: v.data.tobytes() for k, v in trainer.named_params().items()}
+
+
+def grad_bytes(trainer):
+    return {k: None if v.grad is None else v.grad.tobytes()
+            for k, v in trainer.named_params().items()}
 
 
 class TestRunMechanics:
@@ -232,6 +239,27 @@ class TestStepOracle:
         T.sgd_step(t2._all_params(), t2.cfg.lr, t2.cfg.momentum,
                    t2.cfg.weight_decay, t2.opt_state)
         assert param_bytes(t1) == param_bytes(t2)
+
+    @pytest.mark.parametrize("sizes", [(5, 3), (4, 1)], ids=["5+3", "4+1"])
+    @pytest.mark.parametrize("kind", ["ada", "pst", "joint"])
+    @pytest.mark.parametrize("mode", list(MessagePassingMode))
+    def test_paired_step_matches_two_forward_step(self, splits, mode, kind, sizes):
+        """One step's gradients, losses and Gumbel stream are those of the
+        step with one training forward per domain, with noise on in two
+        blocks and unequal batches, one of them a single sample."""
+        model = ModelConfig(image_size=8, patch_size=4, embed_dim=8, depth=2, heads=2,
+                            num_classes=4, num_group_tokens=2, mode=mode)
+        cfg = tiny_train_cfg(model=model, batch_size=sizes[0])
+        source, target = (Dataset(images=splits[name].images[:n],
+                                  labels=splits[name].labels[:n],
+                                  domain=splits[name].domain, num_classes=4)
+                          for name, n in zip(("source_train", "target_train"), sizes))
+        paired, oracle = (Trainer(cfg, source, target) for _ in range(2))
+        losses = paired._step(kind, 0.3)
+        assert losses == two_forward_step(oracle, kind, 0.3)
+        assert grad_bytes(paired) == grad_bytes(oracle)
+        assert (paired.gumbel_rng.bit_generator.state
+                == oracle.gumbel_rng.bit_generator.state)
 
     def test_trainer_never_reads_target_labels(self, splits):
         t = make_trainer(splits)
