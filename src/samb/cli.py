@@ -130,8 +130,7 @@ def train_config_from(raw: dict[str, str],
     model = r.fill(ModelConfig, image_size=h, in_channels=c,
                    num_classes=source_train.num_classes,
                    gumbel=GumbelConfig(
-                       noise_enabled=r.get("gumbel_noise", GumbelConfig.noise_enabled),
-                       rng_seed=seed))
+                       noise_enabled=r.get("gumbel_noise", GumbelConfig.noise_enabled)))
     cfg = r.fill(TrainConfig, model=model, seed=seed, grl=r.fill(GrlConfig))
     r.finish()
     return cfg, r.resolved
@@ -191,14 +190,16 @@ def cmd_train(args) -> int:
 
 
 _SWEEP_KEYS = {"tokens": "num_group_tokens", "scheme": "scheme", "mode": "mode"}
-# the failures ``main`` maps to an exit code; a sweep records them and goes on
-_EXIT_FAILURES = (ConfigError, ContractError, MemoryError, NumericError,
-                  DegenerateMaskError, FormatError, OSError)
+# (failure, message prefix, exit code) for each failure ``main`` maps to an
+# exit code, first match first; a sweep records them and goes on
+_EXITS = ((ConfigError, "error", 2), (ContractError, "error", 2),
+          (MemoryError, "error: out of memory", 2),  # a backstop behind the size caps
+          (NumericError, "numeric failure", 3), (DegenerateMaskError, "numeric failure", 3),
+          (FormatError, "I/O error", 4), (OSError, "I/O error", 4))
+_EXIT_FAILURES = tuple(kind for kind, _, _ in _EXITS)
 
 
 def cmd_sweep(args) -> int:
-    if args.axis not in _SWEEP_KEYS:
-        raise ConfigError(f"invalid sweep axis {args.axis!r}")
     key = _SWEEP_KEYS[args.axis]
     base = parse_config(args.config)
     os.makedirs(args.out, exist_ok=True)
@@ -243,7 +244,7 @@ def cmd_export_attn(args) -> int:
             for b, sid in enumerate(batch.sample_ids):
                 lines = []
                 for layer, assignment in enumerate(out.assignments):
-                    hard = assignment.hard[b]
+                    hard = assignment[b]
                     lines.append(f"layer {layer}")
                     for row in range(grid):
                         cells = hard[row * grid:(row + 1) * grid]
@@ -299,18 +300,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ContractError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except MemoryError as e:         # a backstop: the size caps should stop it first
-        print(f"error: out of memory: {e}", file=sys.stderr)
-        return 2
-    except (NumericError, DegenerateMaskError) as e:
-        print(f"numeric failure: {e}", file=sys.stderr)
-        return 3
-    except (FormatError, OSError) as e:
-        print(f"I/O error: {e}", file=sys.stderr)
-        return 4
+    except _EXIT_FAILURES as e:
+        prefix, code = next((p, c) for kind, p, c in _EXITS if isinstance(e, kind))
+        print(f"{prefix}: {e}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

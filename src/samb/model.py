@@ -10,9 +10,9 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
-from .attention import (AttentionWeights, GroupAssignment, GumbelConfig,
-                        MessagePassingMode, TokenLayout, gumbel_assign,
-                        masked_attention, mode_masks, sample_gumbel)
+from .attention import (AttentionWeights, GumbelConfig, MessagePassingMode,
+                        TokenLayout, gumbel_assign, masked_attention, mode_masks,
+                        sample_gumbel)
 from .errors import ConfigError, ContractError, DegenerateMaskError, NumericError
 from .tensor import Tensor
 
@@ -95,7 +95,7 @@ class ForwardResult:
     logits: Tensor                     # [B, C]
     feature: Tensor                    # [B, d] fused alignment feature
     fusion_weights: Tensor             # [B, N] (ones for the vanilla mode)
-    assignments: list[GroupAssignment]  # one per layer, dynamic modes only
+    assignments: list[np.ndarray]      # [B, M] group indices per layer, dynamic modes only
 
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
@@ -120,7 +120,12 @@ class VitSamb:
         patch_dim = p * p * cfg.in_channels
 
         self._params: dict[str, Tensor] = {}   # record name -> parameter
-        self._static_mask: Optional[np.ndarray] = None   # built by the first forward
+        # a static mode's mask depends only on the config; read-only, so that
+        # an in-place write raises instead of corrupting later forwards
+        self._static_mask: Optional[np.ndarray] = None
+        if not cfg.mode.dynamic:
+            self._static_mask = mode_masks(cfg.mode, cfg.num_group_tokens, cfg.num_patches)
+            self._static_mask.flags.writeable = False
 
         def leaf(data):
             return Tensor(data, requires_grad=True)
@@ -191,9 +196,6 @@ class VitSamb:
                 raise ConfigError(f"checkpoint shape mismatch for {name}")
             t.data = loaded[name].data
 
-    def param_count(self) -> int:
-        return sum(p.size for p in self.params())
-
     # -- forward ------------------------------------------------------------
 
     def patchify(self, images: np.ndarray) -> np.ndarray:
@@ -207,24 +209,25 @@ class VitSamb:
         x = x.transpose(0, 2, 4, 3, 5, 1)        # [B, gh, gw, p, p, C]
         return x.reshape(b, g * g, p * p * c)
 
-    def _layer_assignment(self, q: np.ndarray, k: np.ndarray, train: bool,
-                          rng: Optional[np.random.Generator],
-                          noise: Optional[np.ndarray] = None) -> GroupAssignment:
-        """Gumbel assignment from this layer's own attention projections.
+    def _layer_assignment(self, q: np.ndarray, k: np.ndarray,
+                          noise: Optional[np.ndarray]) -> np.ndarray:
+        """[B, M] hard group index per image token, from this layer's own
+        attention projections.
 
         Logits are the full-dimension Q_p.K_g products of the M patch rows of
         ``q`` with the N group rows of ``k``, the [B, T, d] projections that
         ``masked_attention`` made; the resulting hard mask enters attention as
         a constant so the loss stays locally differentiable in every parameter.
-        ``noise`` holds this block's Gumbel draws when the forward made them.
+        ``noise`` holds this block's Gumbel draws, or is None in a forward
+        without noise.
         """
         cfg = self.cfg
         layout = cfg.layout
         qp = q[:, layout.patch_start:]
         kg = k[:, layout.group_start:layout.patch_start]
         logits = np.matmul(qp, np.swapaxes(kg, -1, -2)) / np.sqrt(cfg.embed_dim)
-        gcfg = cfg.gumbel if train else replace(cfg.gumbel, noise_enabled=False)
-        return gumbel_assign(Tensor(logits), gcfg, rng, noise)
+        gcfg = cfg.gumbel if noise is not None else replace(cfg.gumbel, noise_enabled=False)
+        return gumbel_assign(Tensor(logits), gcfg, noise=noise).hard
 
     def forward(self, images: np.ndarray, train: bool = False,
                 rng: Optional[np.random.Generator] = None,
@@ -238,7 +241,7 @@ class VitSamb:
         product, whose rows BLAS may round by B (a one-sample batch's goes to
         gemv).  Every output and gradient then has the bits of two separate
         forwards, and the Gumbel noise is drawn in their order.  The
-        per-domain fusion weights and assignments are plain values.
+        per-domain fusion weights are a plain value.
         """
         b = images.shape[0]
         if split is None:
@@ -255,9 +258,7 @@ class VitSamb:
             results.append(ForwardResult(
                 logits=self._head(feature), feature=feature,
                 fusion_weights=Tensor(weights.data[rows]),
-                assignments=[replace(a, hard=a.hard[rows],
-                                     perturbed=Tensor(a.perturbed.data[rows]))
-                             for a in assignments]))
+                assignments=[hard[rows] for hard in assignments]))
         return tuple(results)
 
     def _head(self, fused: Tensor) -> Tensor:
@@ -266,12 +267,22 @@ class VitSamb:
     def _features(self, images: np.ndarray, train: bool,
                   rng: Optional[np.random.Generator], sizes: tuple):
         """(fused feature, fusion weights, assignments) of the batches of
-        ``sizes`` rows stacked in ``images``."""
+        ``sizes`` rows stacked in ``images``.  A training forward of a
+        dynamic mode with noise enabled perturbs the assignments, with noise
+        drawn here from ``rng``."""
         cfg = self.cfg
         layout = cfg.layout
         b = images.shape[0]
         d = cfg.embed_dim
         n, m = cfg.num_group_tokens, cfg.num_patches
+        noise = [None] * cfg.depth
+        if cfg.mode.dynamic and train and cfg.gumbel.noise_enabled:
+            if rng is None:
+                raise ContractError("forward: Gumbel noise needs the caller's generator")
+            # rng.random fills in order: each batch's draws for every block,
+            # one batch after the other, are what separate forwards drew
+            noise = np.concatenate([sample_gumbel(rng, (cfg.depth, rows, m, n))
+                                    for rows in sizes], axis=1)
 
         patches = Tensor(self.patchify(np.asarray(images, dtype=np.float64)))
         x = T.linear(patches, self.patch_w, self.patch_b) + self.pos_embed
@@ -282,26 +293,15 @@ class VitSamb:
             parts.append(T.broadcast_to(self.group_tokens, (b, n, d)))
         x = T.concat(parts + [x], axis=1)        # every mode has one or both
 
-        assignments: list[GroupAssignment] = []
-        noise = [None] * cfg.depth
-        if cfg.mode.dynamic and train and cfg.gumbel.noise_enabled and rng is not None:
-            # rng.random fills in order: each batch's draws for every block,
-            # one batch after the other, are what separate forwards drew
-            noise = np.concatenate([sample_gumbel(rng, (cfg.depth, rows, m, n))
-                                    for rows in sizes], axis=1)
+        assignments: list[np.ndarray] = []
 
         def dynamic_mask(i: int):
             def mask(q: np.ndarray, k: np.ndarray) -> np.ndarray:
-                assignment = self._layer_assignment(q, k, train, rng, noise[i])
-                assignments.append(assignment)
-                return mode_masks(cfg.mode, n, m, assignment.hard)
+                hard = self._layer_assignment(q, k, noise[i])
+                assignments.append(hard)
+                return mode_masks(cfg.mode, n, m, hard)
             return mask
 
-        if not cfg.mode.dynamic and self._static_mask is None:
-            # it depends only on the config; read-only, so that an in-place
-            # write raises instead of corrupting later forwards
-            self._static_mask = mode_masks(cfg.mode, n, m)
-            self._static_mask.flags.writeable = False
         # the last block computes only the rows the head reads; its keys and
         # values still cover every token
         head = layout.head_rows

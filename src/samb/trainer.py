@@ -139,12 +139,12 @@ def evaluate(model: VitSamb, dataset: Dataset, batch_size: int = 64) -> float:
 
 
 def _cycle(dataset: Dataset, batch_size: int, seed: int):
-    """Endless shuffled batches; yields (batch, epoch, first_of_epoch)."""
+    """Endless shuffled batches; yields (batch, first_of_epoch)."""
     epoch = 0
     while True:
         first = True
         for batch in batch_iter(dataset, batch_size, seed, shuffle=True, epoch=epoch):
-            yield batch, epoch, first
+            yield batch, first
             first = False
         epoch += 1
 
@@ -216,8 +216,8 @@ class Trainer:
         T.clear_tape()
         for p in self._all_params():
             p.zero_grad()
-        sb, _, _ = next(self._src_iter)
-        tb, epoch, first = next(self._tgt_iter)
+        sb, _ = next(self._src_iter)
+        tb, first = next(self._tgt_iter)
         if kind in ("pst", "joint") and (first or self.pseudo_labels is None):
             self.refresh_pseudo_labels()
 

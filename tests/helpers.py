@@ -186,7 +186,7 @@ def unpruned_forward(model, images, train: bool = False, rng=None):
             logits = np.matmul(q[:, layout.patch_start:], np.swapaxes(kg, -1, -2)) / np.sqrt(d)
             gcfg = cfg.gumbel if train else GumbelConfig(noise_enabled=False)
             assignment = gumbel_assign(T.Tensor(logits), gcfg, rng)
-            assignments.append(assignment)
+            assignments.append(assignment.hard)
             mask = mode_masks(cfg.mode, n, m, assignment.hard)
         else:
             mask = static_mask
@@ -217,8 +217,8 @@ def two_forward_step(trainer, kind: str, lam: float):
     T.clear_tape()
     for p in trainer._all_params():
         p.zero_grad()
-    sb, _, _ = next(trainer._src_iter)
-    tb, _, first = next(trainer._tgt_iter)
+    sb, _ = next(trainer._src_iter)
+    tb, first = next(trainer._tgt_iter)
     if kind in ("pst", "joint") and (first or trainer.pseudo_labels is None):
         trainer.refresh_pseudo_labels()
     out_s = trainer.model.forward(sb.images, train=True, rng=trainer.gumbel_rng)

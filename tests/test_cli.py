@@ -13,7 +13,8 @@ import samb.tensor as T
 from samb.alignment import GrlConfig
 from samb.cli import main, parse_config, train_config_from
 from samb.data import Dataset, SyntheticSpec, generate
-from samb.errors import ConfigError, FormatError
+from samb.errors import (ConfigError, ContractError, DegenerateMaskError,
+                         FormatError, NumericError)
 from samb.model import ModelConfig, VitSamb
 from samb.attention import GumbelConfig, MessagePassingMode
 from samb.trainer import Scheme, TrainConfig
@@ -419,7 +420,7 @@ class TestConfigKeys:
                               embed_dim=12, depth=3, heads=3, mlp_ratio=2,
                               num_classes=4, num_group_tokens=3,
                               mode=MessagePassingMode.G_L_D,
-                              gumbel=GumbelConfig(noise_enabled=False, rng_seed=7)),
+                              gumbel=GumbelConfig(noise_enabled=False)),
             scheme=Scheme.PST_THEN_ADA, iterations_1=11, iterations_2=12,
             lr=0.05, momentum=0.5, weight_decay=0.001, batch_size=4, seed=7,
             grl=GrlConfig(lambda_max=0.7, gamma=3.5), eval_every=5,
@@ -467,6 +468,15 @@ class TestSweep:
         assert rows[1].startswith("tokens,2,ok")
         assert rows[2].startswith("tokens,999,error")
 
+    def test_unknown_axis_is_rejected_before_the_sweep(self, data_dir, tmp_path, capsys):
+        cfg = write_train_cfg(tmp_path / "t.cfg", data_dir)
+        with pytest.raises(SystemExit) as exited:
+            main(["sweep", "--axis", "bogus", "--values", "1",
+                  "--config", str(cfg), "--out", str(tmp_path / "sweep")])
+        assert exited.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
     def test_a_bug_in_a_point_stops_the_sweep(self, data_dir, tmp_path, monkeypatch):
         def run(raw, out_dir):
             raise TypeError("a bug")
@@ -479,14 +489,20 @@ class TestSweep:
 
     @pytest.mark.parametrize("error", samb.cli._EXIT_FAILURES)
     def test_each_recorded_failure_has_an_exit_code(self, data_dir, tmp_path,
-                                                    monkeypatch, error):
+                                                    monkeypatch, capsys, error):
         def run(raw, out_dir):
             raise error("failed", 0) if error is FormatError else error("failed")
 
+        prefix, code = {ConfigError: ("error", 2), ContractError: ("error", 2),
+                        MemoryError: ("error: out of memory", 2),
+                        NumericError: ("numeric failure", 3),
+                        DegenerateMaskError: ("numeric failure", 3),
+                        FormatError: ("I/O error", 4), OSError: ("I/O error", 4)}[error]
         monkeypatch.setattr(samb.cli, "_run_training", run)
         cfg = write_train_cfg(tmp_path / "t.cfg", data_dir)
         assert main(["train", "--config", str(cfg),
-                     "--out", str(tmp_path / "o")]) in (2, 3, 4)
+                     "--out", str(tmp_path / "o")]) == code
+        assert capsys.readouterr().err.startswith(f"{prefix}: failed")
 
 
 class TestExportAttn:
@@ -514,7 +530,7 @@ class TestExportAttn:
         fwd = model.forward(ds.images.astype(np.float64), train=False)
         for sid in range(len(ds)):
             text = (out / f"sample_{sid:05d}.txt").read_text()
-            hard = fwd.assignments[0].hard[sid]
+            hard = fwd.assignments[0][sid]
             expected = ["layer 0"]
             for row in range(2):
                 expected.append(" ".join(str(int(c))

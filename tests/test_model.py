@@ -146,7 +146,7 @@ def forward_and_grads(forward, model, imgs, train):
     T.clear_tape()
     result = {"logits": out.logits.data, "feature": out.feature.data,
               "fusion_weights": out.fusion_weights.data}
-    result.update({f"hard{i}": a.hard for i, a in enumerate(out.assignments)})
+    result.update({f"hard{i}": hard for i, hard in enumerate(out.assignments)})
     result.update({k: p.grad for k, p in model.named_params().items()})
     return result
 
@@ -155,7 +155,7 @@ def output_bytes(out, rows=slice(None)):
     """The bytes of each output of a ForwardResult, restricted to ``rows``."""
     result = {"logits": out.logits.data[rows], "feature": out.feature.data[rows],
               "fusion_weights": out.fusion_weights.data[rows]}
-    result.update({f"hard{i}": a.hard[rows] for i, a in enumerate(out.assignments)})
+    result.update({f"hard{i}": hard[rows] for i, hard in enumerate(out.assignments)})
     return {k: np.ascontiguousarray(v).tobytes() for k, v in result.items()}
 
 
@@ -196,6 +196,7 @@ class TestStaticMask:
         monkeypatch.setattr(samb.model, "mode_masks",
                             lambda *args: built.append(args) or mode_masks(*args))
         model = VitSamb(small_cfg(mode=mode), np.random.default_rng(27))
+        assert len(built) == (0 if mode.dynamic else 1)   # with the model
         imgs = np.random.default_rng(28).random((2, 3, 16, 16))
         first, second = (model.forward(imgs).logits.data for _ in range(2))
         assert np.array_equal(first, second)
@@ -246,8 +247,13 @@ class TestPrunedLastBlock:
 class TestLayerAssignment:
     @pytest.mark.parametrize("n", [1, 2, 4, 8])
     @pytest.mark.parametrize("mode", [m for m in MessagePassingMode if m.dynamic])
-    def test_logits_are_patch_queries_against_group_keys(self, mode, n):
+    def test_logits_are_patch_queries_against_group_keys(self, monkeypatch, mode, n):
         # the other rows of q and k are NaN, so a logit that read one is NaN
+        seen = []
+        assign = samb.model.gumbel_assign
+        monkeypatch.setattr(samb.model, "gumbel_assign",
+                            lambda logits, *a, **kw: seen.append(logits.data)
+                            or assign(logits, *a, **kw))
         model = VitSamb(small_cfg(mode=mode, num_group_tokens=n), np.random.default_rng(25))
         layout = model.cfg.layout
         q, k = np.random.default_rng(26).standard_normal((2, 4, layout.total, 16))
@@ -256,8 +262,9 @@ class TestLayerAssignment:
         q[:, :layout.patch_start] = np.nan
         k[:, :layout.group_start] = k[:, layout.patch_start:] = np.nan
         expected = np.matmul(qp, np.swapaxes(kg, -1, -2)) / np.sqrt(16)
-        logits = model._layer_assignment(q, k, train=False, rng=None).perturbed.data
-        assert np.array_equal(logits, expected)
+        hard = model._layer_assignment(q, k, None)
+        assert len(seen) == 1 and np.array_equal(seen[0], expected)
+        assert np.array_equal(hard, np.argmax(expected, axis=-1))
 
     @pytest.mark.parametrize("block", [0, 1])
     def test_non_finite_logits_name_the_block(self, block):
@@ -268,11 +275,39 @@ class TestLayerAssignment:
                 NumericError, match=f"^block {block}: gumbel_assign: non-finite"):
             model.forward(imgs, train=True, rng=np.random.default_rng(29))
 
-    def test_training_forward_needs_a_generator(self):
-        model = VitSamb(small_cfg(gumbel=GumbelConfig()), np.random.default_rng(30))
+    @pytest.mark.parametrize("mode", [m for m in MessagePassingMode if m.dynamic])
+    def test_training_forward_needs_a_generator(self, monkeypatch, mode):
+        # the forward decides before its first block, so no block runs
+        calls = []
+        attend = samb.model.masked_attention
+        monkeypatch.setattr(samb.model, "masked_attention",
+                            lambda *a: calls.append(a) or attend(*a))
+        model = VitSamb(small_cfg(mode=mode, gumbel=GumbelConfig()),
+                        np.random.default_rng(30))
         imgs = np.random.default_rng(31).random((2, 3, 16, 16))
         with pytest.raises(ContractError, match="caller's generator"):
             model.forward(imgs, train=True)
+        with pytest.raises(ContractError, match="caller's generator"):
+            model.forward(imgs, train=True, split=1)
+        assert calls == []
+        model.forward(imgs, train=False)             # an eval forward draws none
+        assert len(calls) == model.cfg.depth
+
+    @pytest.mark.parametrize("noise", [True, False], ids=["noise", "no-noise"])
+    @pytest.mark.parametrize("mode", [m for m in MessagePassingMode if m.dynamic])
+    def test_assignments_are_hard_index_arrays(self, mode, noise):
+        model = VitSamb(small_cfg(mode=mode, num_group_tokens=4,
+                                  gumbel=GumbelConfig(noise_enabled=noise)),
+                        np.random.default_rng(37))
+        imgs = np.random.default_rng(38).random((5, 3, 16, 16))
+        rng = np.random.default_rng(39)
+        single = model.forward(imgs, train=True, rng=rng)
+        paired = model.forward(imgs, train=True, rng=rng, split=3)
+        for out, b in ((single, 5), (paired[0], 3), (paired[1], 2)):
+            assert len(out.assignments) == model.cfg.depth
+            for hard in out.assignments:
+                assert isinstance(hard, np.ndarray) and hard.shape == (b, 16)
+                assert hard.dtype.kind == "i" and 0 <= hard.min() and hard.max() < 4
 
     @pytest.mark.parametrize("block", [0, 1])
     @pytest.mark.parametrize("mode", [MessagePassingMode.SAMB, MessagePassingMode.SAMB_D])
@@ -310,7 +345,7 @@ class TestComplexity:
                                    mode=MessagePassingMode.SAMB),
                        np.random.default_rng(16))
         # vanilla trades the N*d group tokens + d fusion query for a d cls token
-        delta = samb.param_count() - base.param_count()
+        delta = sum(p.size for p in samb.params()) - sum(p.size for p in base.params())
         assert delta == n * d + d - d
 
     @pytest.mark.parametrize("sizes", [
@@ -319,7 +354,8 @@ class TestComplexity:
     @pytest.mark.parametrize("mode", list(MessagePassingMode))
     def test_analytic_param_count(self, mode, sizes):
         cfg = ModelConfig(mode=mode, **sizes)
-        assert cfg.param_count == VitSamb(cfg, np.random.default_rng(0)).param_count()
+        model = VitSamb(cfg, np.random.default_rng(0))
+        assert cfg.param_count == sum(p.size for p in model.params())
 
     def test_size_caps_hold_at_the_boundary(self, monkeypatch):
         cfg = small_cfg()

@@ -47,6 +47,17 @@ def test_gumbel_noise_comes_from_the_caller():
     assert found == []
 
 
+def test_the_model_hands_gumbel_assign_its_noise():
+    # one noise decision per forward: the model passes the draws it made,
+    # never a generator that gumbel_assign could draw from itself
+    path = Path(samb.__file__).parent / "model.py"
+    [call] = [node for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+              if isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "gumbel_assign"]
+    assert len(call.args) == 2, f"model.py:{call.lineno}"
+    assert [kw.arg for kw in call.keywords] == ["noise"], f"model.py:{call.lineno}"
+
+
 def test_only_the_tensor_module_imports_threads():
     # one owner of process-wide policy: the lanes of samb.tensor.run_lanes
     # and the heap policy that ctypes sets

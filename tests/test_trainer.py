@@ -205,8 +205,8 @@ class TestStepOracle:
         t1.run()
 
         t2 = make_trainer(splits, iterations_1=1, iterations_2=0)
-        sb, _, _ = next(t2._src_iter)
-        tb, _, _ = next(t2._tgt_iter)
+        sb, _ = next(t2._src_iter)
+        tb, _ = next(t2._tgt_iter)
         lam = 0.0  # warm-up schedule starts at zero
         out_s = t2.model.forward(sb.images, train=True, rng=t2.gumbel_rng)
         out_t = t2.model.forward(tb.images, train=True, rng=t2.gumbel_rng)
@@ -229,8 +229,8 @@ class TestStepOracle:
 
         t2 = make_trainer(splits, scheme=Scheme.PST, iterations_1=1,
                           iterations_2=0)
-        sb, _, _ = next(t2._src_iter)
-        tb, _, _ = next(t2._tgt_iter)
+        sb, _ = next(t2._src_iter)
+        tb, _ = next(t2._tgt_iter)
         out_s = t2.model.forward(sb.images, train=True, rng=t2.gumbel_rng)
         out_t = t2.model.forward(tb.images, train=True, rng=t2.gumbel_rng)
         total = (T.cross_entropy(out_s.logits, sb.labels)
