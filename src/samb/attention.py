@@ -258,13 +258,24 @@ def masked_attention(tokens: Tensor, weights: AttentionWeights, n_heads: int,
                      mask: Union[np.ndarray, Callable[[np.ndarray, np.ndarray], np.ndarray]],
                      rows: slice = slice(None)) -> Tensor:
     """Multi-head attention over [B, T, d] tokens with one shared additive
-    score mask per sequence (the same mask for every head).
+    score mask per sequence (the same mask for every head), as one tape node.
 
     ``mask`` is a [T, T] or [B, T, T] array, or a function of the [B, T, d]
     q and k arrays this call projects, called once before attending, that
     returns one.  Only the query rows in the contiguous slice ``rows`` attend,
     against keys and values of every token: the output is [B, len(rows), d],
     the matching rows of the all-rows output, with the same bits.
+
+    The node keeps the head splits of q, k and v, the kernel's buffers, row
+    statistics and mask (``_attend``), and the merged attention output that
+    the output projection reads; not the [B, T, d] projections.  Its
+    backward runs the steps of the backward walk over the composition
+    ``linear`` (q, k, v), ``narrow`` (q rows), kernel, ``linear`` (output):
+    the output projection, the kernel, the q-row narrow's zero padding, then
+    v, k and q, whose token gradients it adds as ``(v + k) + q``.  Output
+    and gradients are bit-identical to the composition's
+    (``tests/helpers.py::unfused_masked_attention``) when the tokens feed no
+    later node.
     """
     b, t, d = tokens.shape
     if d % n_heads != 0:
@@ -272,42 +283,74 @@ def masked_attention(tokens: Tensor, weights: AttentionWeights, n_heads: int,
     start, stop, step = rows.indices(t)
     if step != 1 or start >= stop:
         raise ContractError(f"attention: rows {rows} are not a non-empty contiguous slice")
-    q = T.linear(tokens, weights.wq, weights.bq)
-    k = T.linear(tokens, weights.wk, weights.bk)
-    v = T.linear(tokens, weights.wv, weights.bv)
-    mask = np.asarray(mask(q.data, k.data) if callable(mask) else mask)
+    w = weights
+    x = tokens.data
+    q = T._affine(x, w.wq, w.bq, "attention")
+    k = T._affine(x, w.wk, w.bk, "attention")
+    v = T._affine(x, w.wv, w.bv, "attention")
+    mask = np.asarray(mask(q, k) if callable(mask) else mask)
     if mask.shape not in ((t, t), (b, t, t)):
         raise DimensionError(f"attention: mask {mask.shape} fits neither [T, T] "
                              f"nor [B, T, T] of tokens {tokens.shape}")
     # [B, 1, Tq, T]: one mask per sequence, broadcast over the heads
     mask = np.broadcast_to(mask.reshape(-1, 1, t, t)[..., start:stop, :],
                            (b, 1, stop - start, t))
-    if stop - start < t:
-        q = T.narrow(q, 1, start, stop - start)
-    out = _attend(q, k, v, n_heads, mask)
-    return T.linear(out, weights.wo, weights.bo)
+    merged, attend_backward = _attend(q[:, start:stop], k, v, n_heads, mask)
+    out = T._affine(merged, w.wo, w.bo, "attention")
+
+    def backward(g):
+        g, gwo, gbo = T._affine_grads(merged, w.wo, w.bo, g, True)
+        gq, gk, gv = attend_backward(g)
+        if stop - start < t:                     # the q-row narrow's backward
+            full = np.zeros((b, t, d))
+            full[:, start:stop] = gq
+            gq = full
+        gx_v, gwv, gbv = T._affine_grads(x, w.wv, w.bv, gv, tokens.requires_grad)
+        gx_k, gwk, gbk = T._affine_grads(x, w.wk, w.bk, gk, tokens.requires_grad)
+        gx_q, gwq, gbq = T._affine_grads(x, w.wq, w.bq, gq, tokens.requires_grad)
+        gx = (gx_v + gx_k) + gx_q if tokens.requires_grad else None
+        return gx, gwq, gbq, gwk, gbk, gwv, gbv, gwo, gbo
+
+    return T.custom_op(out, (tokens, w.wq, w.bq, w.wk, w.bk, w.wv, w.bv, w.wo, w.bo),
+                       backward)
 
 
-def _attend(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
-            mask: np.ndarray) -> Tensor:
+def _score_chunks(b: int, n_heads: int, tq: int, tk: int) -> list[tuple[slice, slice]]:
+    """The (sequences, heads) index pairs that walk [B, H, Tq, Tk] scores in
+    pieces of at most ``T._CHUNK_ELEMS`` elements: whole sequences while one
+    fits, else the heads of one sequence (at least one head a piece)."""
+    per_sequence = n_heads * tq * tk
+    if per_sequence <= T._CHUNK_ELEMS:
+        per_chunk = T._CHUNK_ELEMS // per_sequence
+        return [(slice(i, min(i + per_chunk, b)), slice(0, n_heads))
+                for i in range(0, b, per_chunk)]
+    per_chunk = max(1, T._CHUNK_ELEMS // (tq * tk))
+    return [(slice(i, i + 1), slice(h, min(h + per_chunk, n_heads)))
+            for i in range(b) for h in range(0, n_heads, per_chunk)]
+
+
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
+            mask: np.ndarray) -> tuple[np.ndarray, Callable]:
     """softmax(q_h k_h^T / sqrt(dh) + mask) v_h per head, merged back to
-    [B, Tq, d], as one tape node, for [B, Tq, d] ``q``, [B, Tk, d] ``k``
-    and ``v``, and a [B, 1, Tq, Tk] ``mask``.
+    [B, Tq, d], for [B, Tq, d] ``q``, [B, Tk, d] ``k`` and ``v``, and a
+    [B, 1, Tq, Tk] ``mask``.  Returns the merged output and its backward,
+    which maps the output's gradient to those of q, k and v.
 
-    The [B, H, Tq, Tk] scores never exist at once: they are walked in chunks
-    of whole sequences of at most ``T._CHUNK_ELEMS`` elements, which
-    ``T.run_lanes`` shares between two lanes.  Each lane scales, masks and
+    The [B, H, Tq, Tk] scores never exist at once: they are walked in the
+    chunks of ``_score_chunks``, which ``T.run_lanes`` shares between two
+    lanes.  A chunk reads its sequences' rows of ``mask`` as a view, so no
+    mask is copied per sequence or head.  Each lane scales, masks and
     normalises its chunk in place in its own reused buffer, which becomes
-    that chunk's probabilities.  The node keeps the contiguous head splits
-    of q and v, k^T, the row max and row sum, and the buffers; the backward
-    runs the chunks in reverse, so each lane starts on the chunk its buffer
-    still holds (``held``; another one after a repeated backward or a change
-    of lane count), and recomputes every other chunk's probabilities from
-    the saved row statistics.  Chunks write disjoint rows, and the numpy
-    operations, their order and their operands' layouts are those of the
-    primitive-op composition, so forward and backward are bit-identical to
-    it on one lane or two.  For the same reason the scale is not folded into
-    q: that rounds differently.
+    that chunk's probabilities.  The kernel keeps the contiguous head
+    splits of q and v, k^T, the row max and row sum, and the buffers; the
+    backward runs the chunks in reverse, so each lane starts on the chunk
+    its buffer still holds (``held``; another one after a repeated backward
+    or a change of lane count), and recomputes every other chunk's
+    probabilities from the saved row statistics.  Chunks write disjoint
+    (sequence, head) blocks, and the numpy operations, their order and
+    their operands' layouts are those of the primitive-op composition, so
+    forward and backward are bit-identical to it on one lane or two.  For
+    the same reason the scale is not folded into q: that rounds differently.
     """
     b, tq, d = q.shape
     tk = k.shape[1]
@@ -319,36 +362,41 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     def merge(y: np.ndarray) -> np.ndarray:      # [B, H, t, dh] -> [B, t, d]
         return y.transpose(0, 2, 1, 3).reshape(b, y.shape[2], d)
 
-    qh = np.ascontiguousarray(split(q.data))
-    kt = np.ascontiguousarray(split(k.data).transpose(0, 1, 3, 2))
-    vh = np.ascontiguousarray(split(v.data))
+    qh = np.ascontiguousarray(split(q))
+    kt = np.ascontiguousarray(split(k).transpose(0, 1, 3, 2))
+    vh = np.ascontiguousarray(split(v))
     scale = float(1.0 / np.sqrt(dh))
-    per_chunk = max(1, T._CHUNK_ELEMS // (n_heads * tq * tk))
-    chunks = [slice(i, min(i + per_chunk, b)) for i in range(0, b, per_chunk)]
-    chunk_shape = (min(per_chunk, b), n_heads, tq, tk)
+    chunks = _score_chunks(b, n_heads, tq, tk)
+    seqs, heads = chunks[0]                      # the first chunk is a largest one
+    chunk_shape = (seqs.stop - seqs.start, heads.stop - heads.start, tq, tk)
     bufs = [np.empty(chunk_shape) for _ in chunks[:2]]    # one per lane that can run
     held = [None] * len(bufs)                    # chunk whose probabilities are in each buffer
     row_max = np.empty((b, n_heads, tq, 1))
     row_sum = np.empty((b, n_heads, tq, 1))
 
-    def scores(lane: int, sl: slice) -> np.ndarray:
-        y = np.matmul(qh[sl], kt[sl], out=bufs[lane][:sl.stop - sl.start])
+    def fit(a: np.ndarray, i: int) -> np.ndarray:   # a lane's array, cut to chunk i
+        seqs, heads = chunks[i]
+        return a[:seqs.stop - seqs.start, :heads.stop - heads.start]
+
+    def scores(lane: int, i: int) -> np.ndarray:
+        c = chunks[i]
+        y = np.matmul(qh[c], kt[c], out=fit(bufs[lane], i))
         y *= scale
-        y += mask[sl]
+        y += mask[c[0]]
         return y
 
     out = np.empty((b, n_heads, tq, dh))
 
     def probs(lane: int, i: int):
-        sl = chunks[i]
-        y = scores(lane, sl)
-        m = np.max(y, axis=-1, keepdims=True, out=row_max[sl])
+        c = chunks[i]
+        y = scores(lane, i)
+        m = np.max(y, axis=-1, keepdims=True, out=row_max[c])
         if np.any(np.isneginf(m)):
             raise DegenerateMaskError("softmax: a row is fully masked (all -inf)")
         y -= m
         np.exp(y, out=y)
-        y /= np.sum(y, axis=-1, keepdims=True, out=row_sum[sl])
-        np.matmul(y, vh[sl], out=out[sl])
+        y /= np.sum(y, axis=-1, keepdims=True, out=row_sum[c])
+        np.matmul(y, vh[c], out=out[c])
         held[lane] = i
 
     T.run_lanes(probs, len(chunks))
@@ -363,28 +411,27 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
                     np.empty(chunk_shape[:-1] + (1,))) for _ in bufs]  # p * y, row dot
 
         def grads(lane: int, i: int):
-            sl = chunks[i]
-            n = sl.stop - sl.start
+            c = chunks[i]
             if held[lane] != i:
-                y = scores(lane, sl)
-                y -= row_max[sl]
+                y = scores(lane, i)
+                y -= row_max[c]
                 np.exp(y, out=y)
-                y /= row_sum[sl]
+                y /= row_sum[c]
                 held[lane] = i
-            y = bufs[lane][:n]
-            p, py, dot = (s[:n] for s in scratch[lane])
-            gs = g[sl]
-            np.matmul(gs, np.swapaxes(vh[sl], -1, -2), out=p)
-            np.matmul(np.swapaxes(y, -1, -2), gs, out=dv[sl])
+            y = fit(bufs[lane], i)
+            p, py, dot = (fit(s, i) for s in scratch[lane])
+            gs = g[c]
+            np.matmul(gs, np.swapaxes(vh[c], -1, -2), out=p)
+            np.matmul(np.swapaxes(y, -1, -2), gs, out=dv[c])
             np.multiply(p, y, out=py)
             np.add.reduce(py, axis=-1, keepdims=True, out=dot)   # what .sum runs
             p -= dot                             # p becomes the score gradient
             p *= y
             p *= scale
-            np.matmul(p, np.swapaxes(kt[sl], -1, -2), out=dq[sl])
-            np.matmul(np.swapaxes(qh[sl], -1, -2), p, out=dkt[sl])
+            np.matmul(p, np.swapaxes(kt[c], -1, -2), out=dq[c])
+            np.matmul(np.swapaxes(qh[c], -1, -2), p, out=dkt[c])
 
         T.run_lanes(grads, len(chunks), reverse=True)
         return merge(dq), merge(dkt.transpose(0, 1, 3, 2)), merge(dv)
 
-    return T.custom_op(merge(out), (q, k, v), backward)
+    return merge(out), backward

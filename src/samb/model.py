@@ -18,8 +18,8 @@ from .tensor import Tensor
 
 # What one config may ask to allocate at most: constants, not config keys
 MAX_PARAM_BYTES = 256 << 20         # the model's float64 parameters
-MAX_SCORE_BYTES = 256 << 20         # one sequence's [H, T, T] attention scores,
-                                    # the least an attention call allocates at once
+MAX_SCORE_BYTES = 256 << 20         # one sequence's [H, T, T] attention scores;
+                                    # an attention call allocates at least one head's
 
 
 @dataclass
@@ -108,6 +108,44 @@ def xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     model this size from scratch with plain SGD."""
     std = np.sqrt(2.0 / (fan_in + fan_out))
     return trunc_normal(rng, (fan_in, fan_out), std)
+
+
+def fusion_head(x: Tensor, query: Tensor, n: int) -> tuple[Tensor, np.ndarray]:
+    """(fused [B, d] feature, [B, N] fusion weights) of the first ``n``
+    token rows of [B, rows, d] ``x``: the softmax over the rows of their
+    scaled scores against the [d, 1] ``query``, and the weighted sum of
+    the rows.
+
+    The feature is one node; the weights are a plain value.  The node keeps
+    the N rows and the weights.  Output and gradients are bit-identical to
+    the composition ``narrow``, ``matmul``, ``reshape``, ``scale``,
+    ``softmax``, ``reshape``, ``mul``, ``sum_axis``
+    (``tests/helpers.py::unfused_fusion_head``).
+    """
+    b, _, d = x.shape
+    s = float(1.0 / np.sqrt(d))
+    xg = np.ascontiguousarray(x.data[:, :n])                 # [B, N, d]
+    scores = T.counted_matmul(xg, query.data).reshape(b, n) * s
+    m = np.max(scores, axis=-1, keepdims=True)
+    if np.any(np.isneginf(m)):
+        raise DegenerateMaskError("softmax: a row is fully masked (all -inf)")
+    e = np.exp(scores - m)
+    weights = e / e.sum(axis=-1, keepdims=True)
+    w3 = weights.reshape(b, n, 1)
+
+    def backward(g):
+        gm = np.broadcast_to(np.expand_dims(g, 1), (b, n, d)).copy()
+        gw = (gm * xg).sum(axis=2, keepdims=True).reshape(b, n)
+        gxg = gm * w3
+        gs = (weights * (gw - (gw * weights).sum(axis=-1, keepdims=True))) * s
+        gs = gs.reshape(b, n, 1)
+        gxg = gxg + np.matmul(gs, np.swapaxes(query.data, -1, -2))
+        gq = T._reduce_to(np.matmul(np.swapaxes(xg, -1, -2), gs), query.shape)
+        gx = np.zeros_like(x.data)
+        gx[:, :n] = gxg
+        return gx, gq
+
+    return T.custom_op((w3 * xg).sum(axis=1), (x, query), backward), weights
 
 
 class VitSamb:
@@ -284,14 +322,7 @@ class VitSamb:
             noise = np.concatenate([sample_gumbel(rng, (cfg.depth, rows, m, n))
                                     for rows in sizes], axis=1)
 
-        patches = Tensor(self.patchify(np.asarray(images, dtype=np.float64)))
-        x = T.linear(patches, self.patch_w, self.patch_b) + self.pos_embed
-        parts = []
-        if self.cls_token is not None:
-            parts.append(T.broadcast_to(self.cls_token, (b, 1, d)))
-        if self.group_tokens is not None:
-            parts.append(T.broadcast_to(self.group_tokens, (b, n, d)))
-        x = T.concat(parts + [x], axis=1)        # every mode has one or both
+        x = self._embed(self.patchify(np.asarray(images, dtype=np.float64)))
 
         assignments: list[np.ndarray] = []
 
@@ -322,14 +353,43 @@ class VitSamb:
         x = T.layer_norm(x, self.ln_f_g, self.ln_f_b)        # [B, head rows, d]
 
         if cfg.mode.has_group_tokens:
-            xg = T.narrow(x, 1, 0, n)                        # [B, N, d]
-            scores = T.reshape(xg @ self.fusion_query, (b, n)) * (1.0 / np.sqrt(d))
-            weights = T.softmax(scores, axis=-1)             # [B, N]
-            fused = T.sum_axis(T.reshape(weights, (b, n, 1)) * xg, axis=1)
+            fused, weights = fusion_head(x, self.fusion_query, n)
         else:
             fused = T.reshape(T.narrow(x, 1, 0, 1), (b, d))  # class token
-            weights = Tensor(np.ones((b, 1)))
-        return fused, weights, assignments
+            weights = np.ones((b, 1))
+        return fused, Tensor(weights), assignments
+
+    def _embed(self, patches: np.ndarray) -> Tensor:
+        """The [B, T, d] token sequence of [B, M, p*p*C] ``patches`` as one
+        node: class and group tokens, then the patch projections plus the
+        position embedding.
+
+        The node keeps only the patches.  Output and gradients are
+        bit-identical to the composition ``linear``, ``add``,
+        ``broadcast_to`` per token kind and ``concat``
+        (``tests/helpers.py::unfused_embed``).
+        """
+        layout = self.cfg.layout
+        gs, ps = layout.group_start, layout.patch_start
+        parts = [(token, rows) for token, rows in ((self.cls_token, slice(0, gs)),
+                                                   (self.group_tokens, slice(gs, ps)))
+                 if token is not None]
+        x = np.empty((patches.shape[0], layout.total, self.cfg.embed_dim))
+        for token, rows in parts:
+            x[:, rows] = token.data
+        np.add(T._affine(patches, self.patch_w, self.patch_b, "patch embedding"),
+               self.pos_embed.data, out=x[:, ps:])
+
+        def backward(g):
+            # the concat's backward hands each part a contiguous copy
+            gp = np.ascontiguousarray(g[:, ps:])
+            _, gw, gb = T._affine_grads(patches, self.patch_w, self.patch_b, gp, False)
+            return (gw, gb, T._reduce_to(gp, self.pos_embed.shape),
+                    *(T._reduce_to(np.ascontiguousarray(g[:, rows]), token.shape)
+                      for token, rows in parts))
+
+        return T.custom_op(x, (self.patch_w, self.patch_b, self.pos_embed,
+                                *(token for token, _ in parts)), backward)
 
     # -- complexity ---------------------------------------------------------
 

@@ -6,7 +6,7 @@ import numpy as np
 
 import samb.tensor as T
 from samb.alignment import domain_loss, grl
-from samb.attention import GumbelConfig, gumbel_assign, masked_attention, mode_masks
+from samb.attention import GumbelConfig, _attend, gumbel_assign, mode_masks
 from samb.model import ForwardResult
 
 
@@ -124,6 +124,51 @@ def unfused_attention(tokens, w, n_heads: int, mask):
     return out @ w.wo + w.bo
 
 
+def unfused_masked_attention(tokens, w, n_heads: int, mask, rows: slice = slice(None)):
+    """``masked_attention`` as the nodes it replaces: a ``linear`` each for
+    q, k and v, a ``narrow`` of q to ``rows``, the chunked kernel as one node
+    on q, k and v, and the output ``linear``.  The single node must match
+    it bit for bit."""
+    b, t, _ = tokens.shape
+    start, stop, _ = rows.indices(t)
+    q = T.linear(tokens, w.wq, w.bq)
+    k = T.linear(tokens, w.wk, w.bk)
+    v = T.linear(tokens, w.wv, w.bv)
+    mask = np.asarray(mask(q.data, k.data) if callable(mask) else mask)
+    mask = np.broadcast_to(mask.reshape(-1, 1, t, t)[..., start:stop, :],
+                           (b, 1, stop - start, t))
+    if stop - start < t:
+        q = T.narrow(q, 1, start, stop - start)
+    out, backward = _attend(q.data, k.data, v.data, n_heads, mask)
+    return T.linear(T.custom_op(out, (q, k, v), backward), w.wo, w.bo)
+
+
+def unfused_embed(model, patches: np.ndarray):
+    """``VitSamb._embed`` as the nodes it replaces: the patch ``linear``, the
+    position-embedding ``add``, a ``broadcast_to`` per token kind and the
+    ``concat``."""
+    b = patches.shape[0]
+    d = model.cfg.embed_dim
+    x = T.linear(T.Tensor(patches), model.patch_w, model.patch_b) + model.pos_embed
+    parts = []
+    if model.cls_token is not None:
+        parts.append(T.broadcast_to(model.cls_token, (b, 1, d)))
+    if model.group_tokens is not None:
+        parts.append(T.broadcast_to(model.group_tokens, (b, model.cfg.num_group_tokens, d)))
+    return T.concat(parts + [x], axis=1)
+
+
+def unfused_fusion_head(x, query, n: int):
+    """``samb.model.fusion_head`` as the eight nodes it replaces: ``narrow``,
+    score ``matmul``, ``reshape``, ``scale``, ``softmax``, ``reshape``,
+    ``mul`` and ``sum_axis``.  Returns (fused, weights), both on the tape."""
+    b, _, d = x.shape
+    xg = T.narrow(x, 1, 0, n)
+    scores = T.reshape(xg @ query, (b, n)) * (1.0 / np.sqrt(d))
+    weights = T.softmax(scores, axis=-1)
+    return T.sum_axis(T.reshape(weights, (b, n, 1)) * xg, axis=1), weights
+
+
 def unfused_layer_norm(x, gamma, beta, eps: float = 1e-6):
     """``T.layer_norm`` as it was before it ran in place: ``mean``,
     ``sqrt`` and the affine map as plain numpy expressions, each a new
@@ -155,7 +200,8 @@ def unfused_mlp(x, w1, b1, w2, b2):
 def unpruned_forward(model, images, train: bool = False, rng=None):
     """``VitSamb.forward`` with every block computing every token row, as it
     did before the last block was pruned to the rows the head reads, with
-    the unfused layer norm and MLP, and with each Gumbel assignment computed
+    the unfused embedding, attention, layer norm, MLP and fusion head, and
+    with each Gumbel assignment computed
     from raw numpy projections of every row instead of the attention's own.
     The pruned forward must match it bit for bit at desk scale."""
     cfg = model.cfg
@@ -164,15 +210,7 @@ def unpruned_forward(model, images, train: bool = False, rng=None):
     d = cfg.embed_dim
     n, m = cfg.num_group_tokens, cfg.num_patches
 
-    patches = T.Tensor(model.patchify(np.asarray(images, dtype=np.float64)))
-    x = T.linear(patches, model.patch_w, model.patch_b) + model.pos_embed
-    parts = []
-    if model.cls_token is not None:
-        parts.append(T.broadcast_to(T.reshape(model.cls_token, (1, 1, d)), (b, 1, d)))
-    if model.group_tokens is not None:
-        parts.append(T.broadcast_to(T.reshape(model.group_tokens, (1, n, d)), (b, n, d)))
-    parts.append(x)
-    x = T.concat(parts, axis=1) if len(parts) > 1 else x
+    x = unfused_embed(model, model.patchify(np.asarray(images, dtype=np.float64)))
 
     static_mask = mode_masks(cfg.mode, n, m) if not cfg.mode.dynamic else None
     assignments = []
@@ -190,16 +228,14 @@ def unpruned_forward(model, images, train: bool = False, rng=None):
             mask = mode_masks(cfg.mode, n, m, assignment.hard)
         else:
             mask = static_mask
-        x = x + masked_attention(h, blk["attn"], cfg.heads, mask)
+        x = x + unfused_masked_attention(h, blk["attn"], cfg.heads, mask)
         h = unfused_layer_norm(x, blk["ln2_g"], blk["ln2_b"])
         x = x + unfused_mlp(h, blk["mlp_w1"], blk["mlp_b1"], blk["mlp_w2"], blk["mlp_b2"])
     x = unfused_layer_norm(x, model.ln_f_g, model.ln_f_b)
 
     if cfg.mode.has_group_tokens:
-        xg = T.narrow(x, 1, cfg.layout.group_start, n)
-        scores = T.reshape(xg @ model.fusion_query, (b, n)) * (1.0 / np.sqrt(d))
-        weights = T.softmax(scores, axis=-1)
-        fused = T.sum_axis(T.reshape(weights, (b, n, 1)) * xg, axis=1)
+        x = T.narrow(x, 1, cfg.layout.group_start, n)
+        fused, weights = unfused_fusion_head(x, model.fusion_query, n)
     else:
         fused = T.reshape(T.narrow(x, 1, 0, 1), (b, d))
         weights = T.Tensor(np.ones((b, 1)))

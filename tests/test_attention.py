@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 import samb.tensor as T
+import samb.attention
 from samb.attention import (AttentionWeights, GumbelConfig, MessagePassingMode,
-                            TokenLayout, _attend, contiguous_regions, gumbel_assign,
-                            handcrafted_mask, masked_attention, mode_masks)
+                            TokenLayout, _attend, _score_chunks, contiguous_regions,
+                            gumbel_assign, handcrafted_mask, masked_attention, mode_masks)
 from samb.errors import (ConfigError, ContractError, DegenerateMaskError,
                          DimensionError, NumericError)
 from samb.tensor import Tensor
 
 from helpers import (check_grad, dense_attention_oracle, finite_diff_grad,
-                     unfused_attention, use_lanes)
+                     unfused_attention, unfused_masked_attention, use_lanes)
 
 NEG = -np.inf
 
@@ -272,7 +273,7 @@ class TestMaskedAttention:
         calls = []
 
         def mask_fn(q, k):
-            calls.append((q, k))
+            calls.append((q.copy(), k.copy()))
             return mask
 
         results = []
@@ -281,14 +282,12 @@ class TestMaskedAttention:
             for p in params:
                 p.zero_grad()
             out = masked_attention(x, w, 2, m, rows)
-            if m is mask_fn:
-                projected = {id(n.inputs[1]): n.output.data for n in T.tape().nodes
-                             if n.inputs[0] is x}
             T.backward(T.sum_all(out))
             results.append([out.data] + [p.grad for p in params])
         (q, k), = calls
-        assert q is projected[id(w.wq)] and k is projected[id(w.wk)]
-        assert q.shape == k.shape == x.shape
+        # every row of q and k, with the bits of the linear projections
+        assert np.array_equal(q, T.linear(x, w.wq, w.bq).data)
+        assert np.array_equal(k, T.linear(x, w.wk, w.bk).data)
         for with_fn, with_array in zip(*results):
             assert np.array_equal(with_fn, with_array)
 
@@ -319,77 +318,23 @@ class TestMaskedAttention:
 
 
 class TestChunkedAttention:
-    """The scores are walked in chunks of whole sequences; shrinking
-    ``T._CHUNK_ELEMS`` makes a B=4 batch run as several chunks, the last one
-    shorter when ``per_chunk`` does not divide 4."""
+    """The scores are walked in chunks; shrinking ``T._CHUNK_ELEMS`` makes a
+    B=4 batch run as several chunks (``TestAttentionNode`` checks the bits
+    of every chunking)."""
 
     B, N, M, D = 4, 3, 9, 8
 
-    def setup(self, monkeypatch, rng, mode, heads, per_chunk):
+    def setup(self, monkeypatch, rng, mode, heads):
+        """A case whose scores run as one chunk per sequence."""
         n, m = self.N, self.M
         mask = (mode_masks(mode, n, m, rng.integers(0, n, size=(self.B, m)))
                 if mode.dynamic else mode_masks(mode, n, m))
         t = TokenLayout(mode, n, m).total
-        monkeypatch.setattr(T, "_CHUNK_ELEMS", per_chunk * heads * t * t)
+        monkeypatch.setattr(T, "_CHUNK_ELEMS", heads * t * t)
         x = Tensor(rng.standard_normal((self.B, t, self.D)), requires_grad=True)
         w = random_weights(rng, self.D)
         c = Tensor(rng.standard_normal((self.B, t, self.D)))
         return mask, x, w, c
-
-    @pytest.mark.parametrize("per_chunk", [1, 3])
-    @pytest.mark.parametrize("mode", list(MessagePassingMode))
-    def test_matches_unfused_bit_for_bit(self, monkeypatch, mode, per_chunk):
-        rng = np.random.default_rng(15)
-        for heads in (1, 2, 4):
-            mask, x, w, c = self.setup(monkeypatch, rng, mode, heads, per_chunk)
-            params = [x] + list(w.named("attn").values())
-            results = []
-            for attend in (masked_attention, unfused_attention):
-                T.clear_tape()
-                for p in params:
-                    p.zero_grad()
-                out = attend(x, w, heads, mask)
-                T.backward(T.sum_all(out * c))
-                results.append([out.data] + [p.grad for p in params])
-            for chunked, unfused in zip(*results):
-                assert np.array_equal(chunked, unfused)
-
-    @pytest.mark.parametrize("per_chunk", [1, 3])
-    @pytest.mark.parametrize("mode", list(MessagePassingMode))
-    def test_rows_match_unfused_rows_bit_for_bit(self, monkeypatch, mode, per_chunk):
-        rng = np.random.default_rng(20)
-        rows = TokenLayout(mode, self.N, self.M).head_rows
-        tq = rows.stop - rows.start
-        for heads in (1, 2, 4):
-            mask, x, w, _ = self.setup(monkeypatch, rng, mode, heads, per_chunk)
-            t = x.shape[1]
-            monkeypatch.setattr(T, "_CHUNK_ELEMS", per_chunk * heads * tq * t)
-            assert_rows_match_unfused(x, w, heads, mask, rows, rng)
-
-    @pytest.mark.parametrize("rows", ["all", "head"])
-    @pytest.mark.parametrize("per_chunk", [1, 3])
-    @pytest.mark.parametrize("mode", list(MessagePassingMode))
-    def test_two_lanes_match_one_lane_bit_for_bit(self, monkeypatch, mode, per_chunk, rows):
-        rng = np.random.default_rng(23)
-        rows = TokenLayout(mode, self.N, self.M).head_rows if rows == "head" else slice(None)
-        for heads in (1, 2, 4):
-            mask, x, w, _ = self.setup(monkeypatch, rng, mode, heads, per_chunk)
-            start, stop, _ = rows.indices(x.shape[1])
-            monkeypatch.setattr(T, "_CHUNK_ELEMS", per_chunk * heads * (stop - start) * x.shape[1])
-            c = Tensor(rng.standard_normal((self.B, stop - start, self.D)))
-            params = [x] + list(w.named("attn").values())
-            results, kept = [], []
-            for lanes in (1, 2):
-                use_lanes(monkeypatch, lanes)
-                T.clear_tape()
-                for p in params:
-                    p.zero_grad()
-                out = masked_attention(x, w, heads, mask, rows)
-                T.backward(T.sum_all(out * c))
-                results.append([out.data] + [p.grad for p in params])
-                kept.append(list(T.tape().nodes))    # no buffer reuse across runs
-            for one, two in zip(*results):
-                assert np.array_equal(one, two)
 
     @pytest.mark.parametrize("lanes", [1, 2])
     def test_repeated_backward_doubles_every_gradient(self, monkeypatch, lanes):
@@ -397,7 +342,7 @@ class TestChunkedAttention:
         # buffers, so the second must recompute instead of reusing them
         use_lanes(monkeypatch, lanes)
         rng = np.random.default_rng(16)
-        mask, x, w, c = self.setup(monkeypatch, rng, MessagePassingMode.SAMB_D, 2, 1)
+        mask, x, w, c = self.setup(monkeypatch, rng, MessagePassingMode.SAMB_D, 2)
         params = [x] + list(w.named("attn").values())
         loss = T.sum_all(masked_attention(x * 1.0, w, 2, mask) * c)
         T.backward(loss)
@@ -410,26 +355,157 @@ class TestChunkedAttention:
     def test_node_keeps_no_full_score_array(self, monkeypatch, mode):
         rng = np.random.default_rng(17)
         heads = 2
-        mask, x, w, _ = self.setup(monkeypatch, rng, mode, heads, 1)
+        mask, x, w, _ = self.setup(monkeypatch, rng, mode, heads)
         masked_attention(x, w, heads, mask)
-        node, = [n for n in T.tape().nodes
-                 if n.backward_fn.__qualname__.startswith("_attend.")]
+        node, = T.tape().nodes
         t = x.shape[1]
         full = self.B * heads * t * t
-        seen, arrays, todo = set(), [], [node.backward_fn]
-        while todo:                              # arrays reachable from the closure
-            obj = todo.pop()
-            if id(obj) in seen:
-                continue
-            seen.add(id(obj))
-            if isinstance(obj, np.ndarray):
-                arrays.append(obj)
-            elif callable(obj) and getattr(obj, "__closure__", None):
-                todo += [cell.cell_contents for cell in obj.__closure__]
-            elif isinstance(obj, (list, tuple)):
-                todo += list(obj)
+        arrays = closure_arrays(node.backward_fn)
         assert any(a.shape == (1, heads, t, t) for a in arrays)   # the chunk buffer
         assert all(a.size < full for a in arrays)
+
+    @pytest.mark.parametrize("rows", ["all", "head"])
+    def test_node_keeps_each_projection_once(self, monkeypatch, rows):
+        # the head splits of q, k and v and the merged output: no [B, T, d]
+        # projection is also kept as it came out of its product
+        rng = np.random.default_rng(31)
+        mode = MessagePassingMode.SAMB
+        mask, x, w, _ = self.setup(monkeypatch, rng, mode, 2)
+        rows = TokenLayout(mode, self.N, self.M).head_rows if rows == "head" else slice(None)
+        masked_attention(x, w, 2, mask, rows)
+        node, = T.tape().nodes
+        b, t, d = x.shape
+        tq = len(range(*rows.indices(t)))
+        kept = sorted(a.shape for a in closure_arrays(node.backward_fn)
+                      if a.size in (b * t * d, b * tq * d) and a is not x.data)
+        assert kept == sorted([(b, 2, tq, d // 2), (b, 2, d // 2, t), (b, 2, t, d // 2),
+                               (b, tq, d)])
+
+
+class TestAttentionNode:
+    """One ``masked_attention`` call is one tape node.  Its output and every
+    gradient are those of the nodes it replaces
+    (``unfused_masked_attention``) and of the primitive-op composition
+    (``unfused_attention``, narrowed to the rows), in every mode, inside and
+    outside ``T.batch_split``, on all rows or the head rows, on one lane or
+    two, and with the scores in one chunk, in chunks of 3 and 1 sequences,
+    of one sequence, or of some heads of one sequence."""
+
+    B, N, M, D = 4, 3, 9, 12
+
+    def case(self, rng, mode):
+        mask = (mode_masks(mode, self.N, self.M, rng.integers(0, self.N, size=(self.B, self.M)))
+                if mode.dynamic else mode_masks(mode, self.N, self.M))
+        t = TokenLayout(mode, self.N, self.M).total
+        x = Tensor(rng.standard_normal((self.B, t, self.D)), requires_grad=True)
+        return mask, x, random_weights(rng, self.D)
+
+    @pytest.mark.parametrize("chunks", ["whole", "uneven", "sequence", "heads"])
+    @pytest.mark.parametrize("lanes", [1, 2])
+    @pytest.mark.parametrize("rows", ["all", "head"])
+    @pytest.mark.parametrize("split", [None, 1])
+    @pytest.mark.parametrize("mode", list(MessagePassingMode))
+    def test_matches_its_compositions_bit_for_bit(self, monkeypatch, mode, split, rows,
+                                                  lanes, chunks):
+        rng = np.random.default_rng(32)
+        use_lanes(monkeypatch, lanes)
+        layout = TokenLayout(mode, self.N, self.M)
+        rows = layout.head_rows if rows == "head" else slice(0, layout.total)
+        tq = rows.stop - rows.start
+        for heads in (1, 2, 3, 4):
+            mask, x, w = self.case(rng, mode)
+            t = x.shape[1]
+            per_chunk = {"whole": self.B * heads, "uneven": 3 * heads, "sequence": heads,
+                         "heads": heads - 1}
+            monkeypatch.setattr(T, "_CHUNK_ELEMS", per_chunk[chunks] * tq * t)
+            c = Tensor(rng.standard_normal((self.B, tq, self.D)))
+            params = [x] + list(w.named("attn").values())
+            results = []
+            for attend in (lambda: masked_attention(x, w, heads, mask, rows),
+                           lambda: unfused_masked_attention(x, w, heads, mask, rows),
+                           lambda: T.narrow(unfused_attention(x, w, heads, mask), 1,
+                                            rows.start, tq)):
+                T.clear_tape()
+                for p in params:
+                    p.zero_grad()
+                if split is None:
+                    out = attend()
+                else:
+                    with T.batch_split(split):
+                        out = attend()
+                T.backward(T.sum_all(out * c))
+                results.append([out.data] + [p.grad for p in params])
+            assert len(_score_chunks(self.B, heads, tq, t)) == {
+                "whole": 1, "uneven": 2, "sequence": self.B,
+                "heads": self.B * -(-heads // max(1, heads - 1))}[chunks]
+            for node, *compositions in zip(*results):
+                for composed in compositions:
+                    assert np.array_equal(node, composed)
+
+    @pytest.mark.parametrize("rows", [slice(None), slice(0, 3)])
+    @pytest.mark.parametrize("mode", list(MessagePassingMode))
+    def test_one_call_appends_one_node(self, mode, rows):
+        rng = np.random.default_rng(33)
+        mask, x, w = self.case(rng, mode)
+        for m in (mask, lambda q, k: mask):
+            T.clear_tape()
+            out = masked_attention(x, w, 2, m, rows)
+            node, = T.tape().nodes
+            assert node.output is out
+            assert node.inputs == (x, w.wq, w.bq, w.wk, w.bk, w.wv, w.bv, w.wo, w.bo)
+
+    def test_head_chunks_read_the_callers_mask(self, monkeypatch):
+        # below one sequence per chunk, each chunk reads its sequence's rows
+        # of the [B, T, T] mask the mask function returned, as a view
+        rng = np.random.default_rng(34)
+        use_lanes(monkeypatch, 1)                   # reads in chunk order
+        mask, x, w = self.case(rng, MessagePassingMode.SAMB_D)
+        t = x.shape[1]
+        monkeypatch.setattr(T, "_CHUNK_ELEMS", t * t)
+        reads = []
+
+        class RecordingMask(np.ndarray):
+            def __getitem__(self, key):
+                view = np.asarray(self)[key]
+                reads.append(view)
+                return view
+
+        kernel = samb.attention._attend
+        monkeypatch.setattr(samb.attention, "_attend",
+                            lambda q, k, v, h, m: kernel(q, k, v, h, m.view(RecordingMask)))
+        masked_attention(x, w, 4, lambda q, k: mask)
+        assert len(reads) == self.B * 4             # a chunk per (sequence, head)
+        for i, view in enumerate(reads):
+            assert view.shape == (1, 1, t, t)
+            assert np.shares_memory(view, mask)
+            assert np.array_equal(view[0, 0], mask[i // 4])
+
+
+class TestScoreChunks:
+    @pytest.mark.parametrize("b, heads, tq, tk", [(4, 2, 12, 12), (3, 4, 5, 20), (1, 3, 7, 7),
+                                                  (8, 2, 260, 260), (16, 2, 4, 20)])
+    @pytest.mark.parametrize("elems", [1, 49, 100, 2 * 144, 1 << 17])
+    def test_every_score_block_once_within_the_budget(self, monkeypatch, b, heads, tq, tk,
+                                                      elems):
+        monkeypatch.setattr(T, "_CHUNK_ELEMS", elems)
+        chunks = _score_chunks(b, heads, tq, tk)
+        covered = np.zeros((b, heads), dtype=int)
+        for seqs, hs in chunks:
+            covered[seqs, hs] += 1
+            size = (seqs.stop - seqs.start) * (hs.stop - hs.start) * tq * tk
+            assert size <= elems or (hs.stop - hs.start == 1 and seqs.stop - seqs.start == 1)
+            # whole sequences, or heads of one sequence
+            assert hs == slice(0, heads) or seqs.stop - seqs.start == 1
+        assert np.all(covered == 1)
+        assert chunks[0] == max(chunks, key=lambda c: (c[0].stop - c[0].start)
+                                * (c[1].stop - c[1].start))
+        whole = heads * tq * tk <= elems
+        assert all(hs == slice(0, heads) for _, hs in chunks) == (whole or heads == 1)
+
+    def test_64px_block_splits_heads(self):
+        # T = 260 and 2 heads: one sequence's scores exceed a chunk, one head's fit
+        assert _score_chunks(8, 2, 260, 260)[:3] == [
+            (slice(0, 1), slice(0, 1)), (slice(0, 1), slice(1, 2)), (slice(1, 2), slice(0, 1))]
 
 
 class TestLanes:
@@ -519,8 +595,7 @@ class TestLanes:
         use_lanes(monkeypatch, 2)
         monkeypatch.setattr(T, "_CHUNK_ELEMS", self.HEADS * self.T * self.T)
         rng = np.random.default_rng(28)
-        q, k, v = (Tensor(rng.standard_normal((8, self.T, self.D)), requires_grad=True)
-                   for _ in range(3))
+        q, k, v = (rng.standard_normal((8, self.T, self.D)) for _ in range(3))
         reads = []
 
         class CountingMask(np.ndarray):
@@ -528,11 +603,11 @@ class TestLanes:
                 reads.append(key)
                 return np.asarray(self)[key]
 
-        out = _attend(q, k, v, self.HEADS,
-                      np.zeros((8, 1, self.T, self.T)).view(CountingMask))
+        out, backward = _attend(q, k, v, self.HEADS,
+                                np.zeros((8, 1, self.T, self.T)).view(CountingMask))
         assert len(reads) == 8
         reads.clear()
-        T.backward(T.sum_all(out))
+        backward(np.ones(out.shape))
         assert len(reads) == 6
 
     def test_one_helper_thread_is_reused(self, monkeypatch):
@@ -543,6 +618,24 @@ class TestLanes:
             T.clear_tape()
             T.backward(T.sum_all(masked_attention(x, w, self.HEADS, mask)))
         assert threading.active_count() <= before + 1
+
+
+def closure_arrays(fn) -> list:
+    """Every numpy array reachable from ``fn``'s closure, through nested
+    closures, lists and tuples."""
+    seen, arrays, todo = set(), [], [fn]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            todo += [cell.cell_contents for cell in obj.__closure__]
+        elif isinstance(obj, (list, tuple)):
+            todo += list(obj)
+    return arrays
 
 
 def assert_rows_match_unfused(x, w, heads, mask, rows, rng):

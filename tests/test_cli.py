@@ -246,8 +246,9 @@ class TestTrain:
         # one step at lr 1e300 leaves finite weights whose forward overflows
         cfg = write_train_cfg(tmp_path / "t.cfg", data_dir, mode=mode,
                               lr="1e300", iterations_1=1)
-        assert main(["train", "--config", str(cfg),
-                     "--out", str(tmp_path / "o")]) == 3
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["train", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == 3
         assert "non-finite logits or features" in capsys.readouterr().err
 
     def test_numeric_failure_names_block_and_iteration(self, data_dir, tmp_path, capsys):

@@ -5,9 +5,10 @@ import samb.model
 import samb.tensor as T
 from samb.attention import GumbelConfig, MessagePassingMode, mode_masks
 from samb.errors import ConfigError, ContractError, DegenerateMaskError, NumericError
-from samb.model import ModelConfig, VitSamb
+from samb.model import ModelConfig, VitSamb, fusion_head
 
-from helpers import finite_diff_grad, rel_err, unpruned_forward, use_lanes
+from helpers import (finite_diff_grad, rel_err, unfused_embed, unfused_fusion_head,
+                     unpruned_forward, use_lanes)
 
 
 @pytest.fixture(autouse=True)
@@ -186,6 +187,60 @@ class TestBatchInvariance:
         model = VitSamb(small_cfg(), np.random.default_rng(36))
         with pytest.raises(ContractError, match="empty"):
             model.forward(np.zeros((4, 3, 16, 16)), split=split)
+
+
+def node_and_composition(build, params, c, split):
+    """The output and every parameter gradient of ``sum(build() * c)``, once
+    per builder in ``build``, each recorded under ``T.batch_split(split)``
+    unless ``split`` is None."""
+    results = []
+    for make in build:
+        T.clear_tape()
+        for p in params:
+            p.zero_grad()
+        if split is None:
+            out = make()
+        else:
+            with T.batch_split(split):
+                out = make()
+        results.append([len(T.tape().nodes)] + [np.asarray(o.data) for o in out])
+        T.backward(T.sum_all(out[0] * c))
+        results[-1] += [p.grad for p in params]
+    return results
+
+
+class TestFusedNodes:
+    """The token embedding and the fusion head are one node each, with the
+    output and gradients of the compositions they replace."""
+
+    @pytest.mark.parametrize("split", [None, 1, 2])
+    @pytest.mark.parametrize("mode", list(MessagePassingMode))
+    def test_embed_matches_its_composition(self, mode, split):
+        model = VitSamb(small_cfg(mode=mode, num_group_tokens=4), np.random.default_rng(40))
+        rng = np.random.default_rng(41)
+        patches = model.patchify(rng.random((3, 3, 16, 16)))
+        c = T.Tensor(rng.standard_normal((3, model.cfg.layout.total, model.cfg.embed_dim)))
+        node, composed = node_and_composition(
+            [lambda: (model._embed(patches),), lambda: (unfused_embed(model, patches),)],
+            model.params(), c, split)
+        assert node[0] == 1
+        for a, b in zip(node[1:], composed[1:]):
+            assert (a is None and b is None) or np.array_equal(a, b)
+
+    @pytest.mark.parametrize("split", [None, 1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_fusion_head_matches_its_composition(self, n, split):
+        rng = np.random.default_rng(42 + n)
+        d = 16
+        x = T.Tensor(rng.standard_normal((3, max(2, n), d)), requires_grad=True)
+        query = T.Tensor(rng.standard_normal((d, 1)), requires_grad=True)
+        c = T.Tensor(rng.standard_normal((3, d)))
+        node, composed = node_and_composition(
+            [lambda: fusion_head(x, query, n), lambda: unfused_fusion_head(x, query, n)],
+            [x, query], c, split)
+        assert (node[0], composed[0]) == (1, 8)
+        for a, b in zip(node[1:], composed[1:]):
+            assert np.array_equal(a, b)
 
 
 class TestStaticMask:

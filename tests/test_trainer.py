@@ -197,6 +197,22 @@ class TestDeterminism:
         assert param_bytes(a) == param_bytes(b)
 
 
+class TestTape:
+    @pytest.mark.parametrize("kind, nodes", [("ada", 39), ("joint", 41)])
+    def test_desk_step_records_its_nodes(self, kind, nodes):
+        # the README model: per forward one embedding node, one node per
+        # attention call and one fusion-head node
+        splits = generate(SyntheticSpec(num_classes=4, train_per_class=8,
+                                        eval_per_class=2, image_size=16, seed=3))
+        model = ModelConfig(embed_dim=16, depth=2, heads=2, num_group_tokens=4,
+                            mode=MessagePassingMode.SAMB_D)
+        trainer = Trainer(TrainConfig(model=model, scheme=Scheme.ADA_THEN_JOINT, lr=0.01),
+                          splits["source_train"], splits["target_train"],
+                          splits["source_eval"], splits["target_eval"])
+        trainer._step(kind, 0.1)
+        assert len(T.tape().nodes) == nodes
+
+
 class TestStepOracle:
     def test_single_ada_step_matches_manual_composition(self, splits):
         """Replays iteration 1 of an ADA run by hand and compares every
