@@ -256,7 +256,8 @@ class AttentionWeights:
 
 def masked_attention(tokens: Tensor, weights: AttentionWeights, n_heads: int,
                      mask: Union[np.ndarray, Callable[[np.ndarray, np.ndarray], np.ndarray]],
-                     rows: slice = slice(None)) -> Tensor:
+                     rows: slice = slice(None),
+                     prenorm: Optional[tuple[Tensor, Tensor]] = None) -> Tensor:
     """Multi-head attention over [B, T, d] tokens with one shared additive
     score mask per sequence (the same mask for every head), as one tape node.
 
@@ -266,16 +267,25 @@ def masked_attention(tokens: Tensor, weights: AttentionWeights, n_heads: int,
     against keys and values of every token: the output is [B, len(rows), d],
     the matching rows of the all-rows output, with the same bits.
 
+    With ``prenorm=(gamma, beta)`` the call is a pre-norm residual branch:
+    it attends over ``T.layer_norm(tokens, gamma, beta)`` and adds the
+    ``rows`` of ``tokens`` to the output.
+
     The node keeps the head splits of q, k and v, the kernel's buffers, row
-    statistics and mask (``_attend``), and the merged attention output that
-    the output projection reads; not the [B, T, d] projections.  Its
-    backward runs the steps of the backward walk over the composition
-    ``linear`` (q, k, v), ``narrow`` (q rows), kernel, ``linear`` (output):
-    the output projection, the kernel, the q-row narrow's zero padding, then
-    v, k and q, whose token gradients it adds as ``(v + k) + q``.  Output
-    and gradients are bit-identical to the composition's
-    (``tests/helpers.py::unfused_masked_attention``) when the tokens feed no
-    later node.
+    statistics and mask (``_attend``), the merged attention output that the
+    output projection reads and, with ``prenorm``, the layer norm's ``xhat``
+    and ``inv``; not the [B, T, d] projections, the layer norm's output or
+    the attention output before the residual add.  Its backward runs the
+    steps of the backward walk over the composition (``layer_norm``),
+    ``linear`` (q, k, v), ``narrow`` (q rows), kernel, ``linear`` (output),
+    (``narrow`` of the residual rows, ``add``): the output projection, the
+    kernel, the q-row narrow's zero padding, then v, k and q, whose
+    gradients it adds as ``(v + k) + q``; with ``prenorm``, it recomputes the
+    layer norm's output for the weight gradients, runs the layer norm's
+    backward and adds its gradient to the residual's (zero-padded to every
+    row).  Output and gradients are bit-identical to the composition's
+    (``tests/helpers.py::unfused_masked_attention`` and
+    ``unfused_attention_branch``) when the tokens feed no later node.
     """
     b, t, d = tokens.shape
     if d % n_heads != 0:
@@ -284,7 +294,12 @@ def masked_attention(tokens: Tensor, weights: AttentionWeights, n_heads: int,
     if step != 1 or start >= stop:
         raise ContractError(f"attention: rows {rows} are not a non-empty contiguous slice")
     w = weights
-    x = tokens.data
+    gamma, beta = prenorm or (None, None)
+    if prenorm is None:
+        x, xhat, inv = tokens.data, None, None
+    else:
+        xhat, inv = T._normalize(tokens.data, gamma, beta, "attention")
+        x = T._scale_shift(xhat, gamma, beta)
     q = T._affine(x, w.wq, w.bq, "attention")
     k = T._affine(x, w.wk, w.bk, "attention")
     v = T._affine(x, w.wv, w.bv, "attention")
@@ -297,22 +312,36 @@ def masked_attention(tokens: Tensor, weights: AttentionWeights, n_heads: int,
                            (b, 1, stop - start, t))
     merged, attend_backward = _attend(q[:, start:stop], k, v, n_heads, mask)
     out = T._affine(merged, w.wo, w.bo, "attention")
+    if prenorm is not None:
+        out += tokens.data[:, start:stop]        # the residual
+
+    def pad(g: np.ndarray) -> np.ndarray:        # a row narrow's backward
+        if stop - start == t:
+            return g
+        full = np.zeros((b, t, d))
+        full[:, start:stop] = g
+        return full
 
     def backward(g):
-        g, gwo, gbo = T._affine_grads(merged, w.wo, w.bo, g, True)
-        gq, gk, gv = attend_backward(g)
-        if stop - start < t:                     # the q-row narrow's backward
-            full = np.zeros((b, t, d))
-            full[:, start:stop] = gq
-            gq = full
-        gx_v, gwv, gbv = T._affine_grads(x, w.wv, w.bv, gv, tokens.requires_grad)
-        gx_k, gwk, gbk = T._affine_grads(x, w.wk, w.bk, gk, tokens.requires_grad)
-        gx_q, gwq, gbq = T._affine_grads(x, w.wq, w.bq, gq, tokens.requires_grad)
-        gx = (gx_v + gx_k) + gx_q if tokens.requires_grad else None
-        return gx, gwq, gbq, gwk, gbk, gwv, gbv, gwo, gbo
+        gm, gwo, gbo = T._affine_grads(merged, w.wo, w.bo, g, True)
+        gq, gk, gv = attend_backward(gm)
+        del gm
+        gq = pad(gq)
+        x = tokens.data if xhat is None else T._scale_shift(xhat, gamma, beta)
+        need_h = tokens.requires_grad or xhat is not None
+        gx_v, gwv, gbv = T._affine_grads(x, w.wv, w.bv, gv, need_h)
+        gx_k, gwk, gbk = T._affine_grads(x, w.wk, w.bk, gk, need_h)
+        gx_q, gwq, gbq = T._affine_grads(x, w.wq, w.bq, gq, need_h)
+        del x, gq, gk, gv
+        gx = (gx_v + gx_k) + gx_q if need_h else None
+        grads = gwq, gbq, gwk, gbk, gwv, gbv, gwo, gbo
+        if xhat is None:
+            return (gx, *grads)
+        gx, ggamma, gbeta = T._layer_norm_grads(xhat, inv, gamma, gx)
+        return (pad(g) + gx if tokens.requires_grad else None, ggamma, gbeta, *grads)
 
-    return T.custom_op(out, (tokens, w.wq, w.bq, w.wk, w.bk, w.wv, w.bv, w.wo, w.bo),
-                       backward)
+    return T.custom_op(out, (tokens, *(prenorm or ()), w.wq, w.bq, w.wk, w.bk,
+                             w.wv, w.bv, w.wo, w.bo), backward)
 
 
 def _score_chunks(b: int, n_heads: int, tq: int, tk: int) -> list[tuple[slice, slice]]:

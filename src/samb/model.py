@@ -148,6 +148,32 @@ def fusion_head(x: Tensor, query: Tensor, n: int) -> tuple[Tensor, np.ndarray]:
     return T.custom_op((w3 * xg).sum(axis=1), (x, query), backward), weights
 
 
+def mlp_branch(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
+               w2: Tensor, b2: Tensor) -> Tensor:
+    """The pre-norm MLP residual branch ``x + mlp(layer_norm(x))`` as one node.
+
+    The node keeps the layer norm's ``xhat`` and ``inv`` and the MLP's
+    pre-activation and GELU cdf; its backward recomputes the layer norm's
+    output and the GELU output with the forward's numpy operations.  It
+    adds the residual gradient and the layer norm's in that order, as the
+    backward walk over the composition ``layer_norm``, ``mlp``, ``add`` does
+    (``tests/helpers.py::unfused_mlp_branch``), so output and gradients are
+    bit-identical to it.
+    """
+    xhat, inv = T._normalize(x.data, gamma, beta, "mlp")
+    out, a, cdf = T._mlp_forward(T._scale_shift(xhat, gamma, beta), w1, b1, w2, b2, "mlp")
+    out += x.data                                # the residual
+
+    def backward(g):
+        ga, gw2, gb2 = T._mlp_hidden_grads(a, cdf, w2, b2, g)
+        gh, gw1, gb1 = T._affine_grads(T._scale_shift(xhat, gamma, beta), w1, b1, ga, True)
+        del ga
+        gx, ggamma, gbeta = T._layer_norm_grads(xhat, inv, gamma, gh)
+        return g + gx, ggamma, gbeta, gw1, gb1, gw2, gb2
+
+    return T.custom_op(out, (x, gamma, beta, w1, b1, w2, b2), backward)
+
+
 class VitSamb:
     """Pre-norm ViT blocks with mode-dependent attention masks."""
 
@@ -337,19 +363,15 @@ class VitSamb:
         # values still cover every token
         head = layout.head_rows
         for i, blk in enumerate(self.blocks):
-            h = T.layer_norm(x, blk["ln1_g"], blk["ln1_b"])
-            last = i == cfg.depth - 1
             mask = dynamic_mask(i) if cfg.mode.dynamic else self._static_mask
             try:                                 # one place names the block
-                a = masked_attention(h, blk["attn"], cfg.heads, mask,
-                                     head if last else slice(None))
+                x = masked_attention(x, blk["attn"], cfg.heads, mask,
+                                     head if i == cfg.depth - 1 else slice(None),
+                                     prenorm=(blk["ln1_g"], blk["ln1_b"]))
             except (NumericError, DegenerateMaskError) as e:
                 raise type(e)(f"block {i}: {e}") from e
-            if last:
-                x = T.narrow(x, 1, head.start, head.stop - head.start)
-            x = x + a
-            h = T.layer_norm(x, blk["ln2_g"], blk["ln2_b"])
-            x = x + T.mlp(h, blk["mlp_w1"], blk["mlp_b1"], blk["mlp_w2"], blk["mlp_b2"])
+            x = mlp_branch(x, blk["ln2_g"], blk["ln2_b"], blk["mlp_w1"], blk["mlp_b1"],
+                           blk["mlp_w2"], blk["mlp_b2"])
         x = T.layer_norm(x, self.ln_f_g, self.ln_f_b)        # [B, head rows, d]
 
         if cfg.mode.has_group_tokens:

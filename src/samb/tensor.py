@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextlib
+import contextvars
 import ctypes
 import importlib.machinery
 import importlib.util
@@ -132,8 +133,10 @@ def run_lanes(fn: Callable[[int, int], None], n: int, reverse: bool = False) -> 
     runs its items in increasing order, or decreasing with ``reverse``, so a
     reversed call starts each lane on the last item it ran in a forward one.
     ``fn`` must run numpy only when lane 1 calls it: tape, spans and the FLOP
-    count belong to the calling thread.  Returns once both lanes are done; an
-    exception raised in either lane then reaches the caller.
+    count belong to the calling thread.  Lane 1 runs in a copy of the
+    caller's context, so the caller's ``np.errstate`` holds there too.
+    Returns once both lanes are done; an exception raised in either lane
+    then reaches the caller.
     """
     lanes = 2 if n >= 2 and _usable_cpus() >= 2 else 1
 
@@ -146,7 +149,7 @@ def run_lanes(fn: Callable[[int, int], None], n: int, reverse: bool = False) -> 
         return run(0)
     if _LANE1[0] is None:
         _LANE1[0] = concurrent.futures.ThreadPoolExecutor(1, thread_name_prefix="samb-lane")
-    future = _LANE1[0].submit(run, 1)
+    future = _LANE1[0].submit(contextvars.copy_context().run, run, 1)
     try:
         run(0)
     finally:
@@ -430,24 +433,41 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                    lambda g: _affine_grads(x.data, w, b, g, x.requires_grad))
 
 
+def _mlp_forward(x: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+                 op: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(output, hidden pre-activation, its GELU cdf) of
+    ``gelu(x @ w1 + b1) @ w2 + b2``; the GELU output is not kept."""
+    a = _affine(x, w1, b1, op)
+    cdf, h = _gelu_forward(a)
+    return _affine(h, w2, b2, op), a, cdf
+
+
+def _mlp_hidden_grads(a: np.ndarray, cdf: np.ndarray, w2: Tensor, b2: Tensor,
+                      g: np.ndarray):
+    """Gradients of ``gelu(a) @ w2 + b2`` for the pre-activation ``a``, w2 and
+    b2.  The GELU output is recomputed as ``a * cdf``, the bits the forward
+    wrote, and freed before the GELU's backward allocates its result."""
+    h = np.multiply(a, cdf)
+    gh, gw2, gb2 = _affine_grads(h, w2, b2, g, True)
+    del h
+    return _gelu_backward(a, cdf, gh), gw2, gb2
+
+
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """``linear(gelu(linear(x, w1, b1)), w2, b2)`` as one node.
 
-    It keeps the hidden pre-activation, its GELU cdf and the GELU output, as
-    the three nodes would, and runs their numpy operations in their order,
-    so output and gradients are bit-identical to the composition.
+    It keeps the hidden pre-activation and its GELU cdf and runs the three
+    nodes' numpy operations in their order, so output and gradients are
+    bit-identical to the composition.
     """
-    a = _affine(x.data, w1, b1, "mlp")
-    cdf, h = _gelu_forward(a)
-    out = Tensor(_affine(h, w2, b2, "mlp"))
+    out, a, cdf = _mlp_forward(x.data, w1, b1, w2, b2, "mlp")
 
     def backward(g):
-        gh, gw2, gb2 = _affine_grads(h, w2, b2, g, True)
-        gx, gw1, gb1 = _affine_grads(x.data, w1, b1, _gelu_backward(a, cdf, gh),
-                                     x.requires_grad)
+        ga, gw2, gb2 = _mlp_hidden_grads(a, cdf, w2, b2, g)
+        gx, gw1, gb1 = _affine_grads(x.data, w1, b1, ga, x.requires_grad)
         return gx, gw1, gb1, gw2, gb2
 
-    return _record(out, (x, w1, b1, w2, b2), backward)
+    return _record(Tensor(out), (x, w1, b1, w2, b2), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -625,22 +645,22 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _record(out, (a,), backward)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Normalize over the last axis, then affine-transform, as one node.
+def _normalize(x: np.ndarray, gamma: Tensor, beta: Tensor,
+               op: str) -> tuple[np.ndarray, np.ndarray]:
+    """(xhat, inv) of the layer norm of ``x`` over its last axis: the
+    normalised input and the [..., 1] reciprocal standard deviation.
 
     Means are ``np.add.reduce`` then ``/= d``, which is what ``ndarray.mean``
     computes; with the in-place steps the bits are those of the plain
-    ``mean``/``sqrt``/affine expressions.  The backward writes only buffers
-    of its own, never the ``xhat`` and ``inv`` it reads.
+    ``mean``/``sqrt`` expressions.
     """
-    if gamma.shape != (x.shape[-1],) or beta.shape != (x.shape[-1],):
-        raise DimensionError(
-            f"layer_norm: affine params {gamma.shape}/{beta.shape} "
-            f"do not match feature dim {x.shape[-1]}")
     d = x.shape[-1]
-    mu = np.add.reduce(x.data, axis=-1, keepdims=True)
+    if gamma.shape != (d,) or beta.shape != (d,):
+        raise DimensionError(f"{op}: affine params {gamma.shape}/{beta.shape} "
+                             f"do not match feature dim {d}")
+    mu = np.add.reduce(x, axis=-1, keepdims=True)
     mu /= d
-    xhat = x.data - mu                          # centred, then normalised below
+    xhat = x - mu                               # centred, then normalised below
     y = xhat * xhat
     inv = np.add.reduce(y, axis=-1, keepdims=True)
     inv /= d                                    # variance
@@ -648,30 +668,48 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     xhat *= inv
-    np.multiply(gamma.data, xhat, out=y)
+    return xhat, inv
+
+
+def _scale_shift(xhat: np.ndarray, gamma: Tensor, beta: Tensor) -> np.ndarray:
+    """The layer norm's output ``gamma * xhat + beta``, in a new array; a
+    backward that recomputes it gets the forward's bits."""
+    y = np.multiply(gamma.data, xhat)
     y += beta.data
-    out = Tensor(y)
+    return y
+
+
+def _layer_norm_grads(xhat: np.ndarray, inv: np.ndarray, gamma: Tensor, g: np.ndarray):
+    """Gradients of ``gamma * xhat + beta`` for the layer norm's input, gamma
+    and beta.  The gamma and beta sums run per batch under a
+    ``batch_split``; only buffers of its own are written."""
+    d = xhat.shape[-1]
 
     def rows_sum(y: np.ndarray) -> np.ndarray:
         return np.add.reduce(y.reshape(-1, d), axis=0)
 
-    def backward(g):
-        gxhat = g * xhat
-        ggamma = _by_batch(rows_sum, gxhat)
-        gbeta = _by_batch(rows_sum, g)
-        gx = g * gamma.data
-        mean = np.add.reduce(gx, axis=-1, keepdims=True)
-        mean /= d
-        np.multiply(gx, xhat, out=gxhat)
-        proj = np.add.reduce(gxhat, axis=-1, keepdims=True)
-        proj /= d
-        gx -= mean
-        np.multiply(xhat, proj, out=gxhat)
-        gx -= gxhat
-        gx *= inv
-        return gx, ggamma, gbeta
+    gxhat = g * xhat
+    ggamma = _by_batch(rows_sum, gxhat)
+    gbeta = _by_batch(rows_sum, g)
+    gx = g * gamma.data
+    mean = np.add.reduce(gx, axis=-1, keepdims=True)
+    mean /= d
+    np.multiply(gx, xhat, out=gxhat)
+    proj = np.add.reduce(gxhat, axis=-1, keepdims=True)
+    proj /= d
+    gx -= mean
+    np.multiply(xhat, proj, out=gxhat)
+    gx -= gxhat
+    gx *= inv
+    return gx, ggamma, gbeta
 
-    return _record(out, (x, gamma, beta), backward)
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalize over the last axis, then affine-transform, as one node that
+    keeps ``xhat`` and ``inv``."""
+    xhat, inv = _normalize(x.data, gamma, beta, "layer_norm")
+    return _record(Tensor(_scale_shift(xhat, gamma, beta)), (x, gamma, beta),
+                   lambda g: _layer_norm_grads(xhat, inv, gamma, g))
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:

@@ -260,12 +260,16 @@ class Trainer:
                 do_eval = last or (cfg.eval_every and
                                    self._global_step % cfg.eval_every == 0)
                 acc_s = acc_t = None
-                try:                             # one place names the iteration
-                    l_cls, l_d = self._step(kind, lam)
-                    if do_eval and self.source_eval is not None:
-                        acc_s = evaluate(self.model, self.source_eval, cfg.batch_size)
-                    if do_eval and self.target_eval is not None:
-                        acc_t = evaluate(self.model, self.target_eval, cfg.batch_size)
+                # one place names the iteration; a diverging step's overflow
+                # reaches the user as the NumericError of a check, not as
+                # numpy warnings ahead of it
+                try:
+                    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                        l_cls, l_d = self._step(kind, lam)
+                        if do_eval and self.source_eval is not None:
+                            acc_s = evaluate(self.model, self.source_eval, cfg.batch_size)
+                        if do_eval and self.target_eval is not None:
+                            acc_t = evaluate(self.model, self.target_eval, cfg.batch_size)
                 except (NumericError, DegenerateMaskError) as e:
                     raise type(e)(f"iteration {self._global_step}: {e}") from e
                 seconds = time.monotonic() - t0 if cfg.wallclock else 0.0

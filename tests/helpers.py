@@ -6,7 +6,7 @@ import numpy as np
 
 import samb.tensor as T
 from samb.alignment import domain_loss, grl
-from samb.attention import GumbelConfig, _attend, gumbel_assign, mode_masks
+from samb.attention import GumbelConfig, _attend, gumbel_assign, masked_attention, mode_masks
 from samb.model import ForwardResult
 
 
@@ -141,6 +141,43 @@ def unfused_masked_attention(tokens, w, n_heads: int, mask, rows: slice = slice(
         q = T.narrow(q, 1, start, stop - start)
     out, backward = _attend(q.data, k.data, v.data, n_heads, mask)
     return T.linear(T.custom_op(out, (q, k, v), backward), w.wo, w.bo)
+
+
+def unfused_attention_branch(x, gamma, beta, w, n_heads: int, mask, rows: slice = slice(None)):
+    """The pre-norm attention branch, ``masked_attention`` with ``prenorm``,
+    as the nodes it replaces: ``layer_norm``, ``masked_attention`` on the
+    query ``rows``, a ``narrow`` of ``x`` to those rows (unless they are all)
+    and the residual ``add``."""
+    t = x.shape[1]
+    start, stop, _ = rows.indices(t)
+    a = masked_attention(T.layer_norm(x, gamma, beta), w, n_heads, mask, rows)
+    if stop - start < t:
+        x = T.narrow(x, 1, start, stop - start)
+    return x + a
+
+
+def unfused_mlp_branch(x, gamma, beta, w1, b1, w2, b2):
+    """``samb.model.mlp_branch`` as the nodes it replaces: ``layer_norm``,
+    ``mlp`` and the residual ``add``."""
+    return x + T.mlp(T.layer_norm(x, gamma, beta), w1, b1, w2, b2)
+
+
+def closure_arrays(fn) -> list:
+    """Every numpy array reachable from ``fn``'s closure, through nested
+    closures, lists and tuples."""
+    seen, arrays, todo = set(), [], [fn]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            todo += [cell.cell_contents for cell in obj.__closure__]
+        elif isinstance(obj, (list, tuple)):
+            todo += list(obj)
+    return arrays
 
 
 def unfused_embed(model, patches: np.ndarray):

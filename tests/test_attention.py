@@ -14,7 +14,7 @@ from samb.errors import (ConfigError, ContractError, DegenerateMaskError,
                          DimensionError, NumericError)
 from samb.tensor import Tensor
 
-from helpers import (check_grad, dense_attention_oracle, finite_diff_grad,
+from helpers import (check_grad, closure_arrays, dense_attention_oracle, finite_diff_grad,
                      unfused_attention, unfused_masked_attention, use_lanes)
 
 NEG = -np.inf
@@ -618,24 +618,6 @@ class TestLanes:
             T.clear_tape()
             T.backward(T.sum_all(masked_attention(x, w, self.HEADS, mask)))
         assert threading.active_count() <= before + 1
-
-
-def closure_arrays(fn) -> list:
-    """Every numpy array reachable from ``fn``'s closure, through nested
-    closures, lists and tuples."""
-    seen, arrays, todo = set(), [], [fn]
-    while todo:
-        obj = todo.pop()
-        if id(obj) in seen:
-            continue
-        seen.add(id(obj))
-        if isinstance(obj, np.ndarray):
-            arrays.append(obj)
-        elif callable(obj) and getattr(obj, "__closure__", None):
-            todo += [cell.cell_contents for cell in obj.__closure__]
-        elif isinstance(obj, (list, tuple)):
-            todo += list(obj)
-    return arrays
 
 
 def assert_rows_match_unfused(x, w, heads, mask, rows, rng):

@@ -1,7 +1,10 @@
 import hashlib
+import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -246,18 +249,39 @@ class TestTrain:
         # one step at lr 1e300 leaves finite weights whose forward overflows
         cfg = write_train_cfg(tmp_path / "t.cfg", data_dir, mode=mode,
                               lr="1e300", iterations_1=1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["train", "--config", str(cfg),
-                         "--out", str(tmp_path / "o")]) == 3
+        assert main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 3
         assert "non-finite logits or features" in capsys.readouterr().err
+
+    def test_diverging_run_prints_only_the_numeric_failure(self, tmp_path):
+        # README's train.cfg at lr 1e5 overflows in the layer norm and the
+        # assignment logits before the logits check ends the run; numpy's
+        # warnings would reach stderr ahead of the message
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("num_classes = 4\ntrain_per_class = 50\neval_per_class = 50\n"
+                        "image_size = 16\nseed = 0\n")
+        assert main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "data")]) == 0
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"data_dir = {tmp_path / 'data'}\nembed_dim = 16\ndepth = 2\n"
+                       "heads = 2\nnum_group_tokens = 4\nmode = samb-d\n"
+                       "scheme = ada-then-joint\niterations_1 = 300\niterations_2 = 300\n"
+                       "lr = 1e5\nseed = 0\n")
+        src = os.path.dirname(os.path.dirname(samb.cli.__file__))
+        env = dict(os.environ, PYTHONWARNINGS="default", OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-m", "samb.cli", "train", "--config",
+                               str(cfg), "--out", str(tmp_path / "o")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3
+        assert proc.stderr == ("numeric failure: iteration 22: block 1: gumbel_assign: "
+                               "non-finite assignment logits\n")
 
     def test_numeric_failure_names_block_and_iteration(self, data_dir, tmp_path, capsys):
         # at lr 1e8 an early step leaves weights whose assignment logits
         # overflow in the next forward
         cfg = write_train_cfg(tmp_path / "t.cfg", data_dir, lr="1e8", iterations_1=30)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["train", "--config", str(cfg),
-                         "--out", str(tmp_path / "o")]) == 3
+        assert main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         found = re.search(r"numeric failure: iteration (\d+): block (\d+): gumbel_assign: "
                           r"non-finite assignment logits", err)

@@ -3,12 +3,14 @@ import pytest
 
 import samb.model
 import samb.tensor as T
-from samb.attention import GumbelConfig, MessagePassingMode, mode_masks
+from samb.attention import (AttentionWeights, GumbelConfig, MessagePassingMode, TokenLayout,
+                            _score_chunks, masked_attention, mode_masks)
 from samb.errors import ConfigError, ContractError, DegenerateMaskError, NumericError
-from samb.model import ModelConfig, VitSamb, fusion_head
+from samb.model import ModelConfig, VitSamb, fusion_head, mlp_branch
 
-from helpers import (finite_diff_grad, rel_err, unfused_embed, unfused_fusion_head,
-                     unpruned_forward, use_lanes)
+from helpers import (closure_arrays, finite_diff_grad, rel_err, unfused_attention_branch,
+                     unfused_embed, unfused_fusion_head, unfused_mlp_branch, unpruned_forward,
+                     use_lanes)
 
 
 @pytest.fixture(autouse=True)
@@ -243,6 +245,140 @@ class TestFusedNodes:
             assert np.array_equal(a, b)
 
 
+def leaves(rng, *shapes):
+    return [T.Tensor(rng.standard_normal(shape) * 0.3, requires_grad=True) for shape in shapes]
+
+
+class TestBranchNodes:
+    """A block is two nodes: the pre-norm attention branch
+    (``masked_attention`` with ``prenorm``) and ``mlp_branch``.  Each has the
+    output and every gradient of the composition it replaces, in every
+    mode, inside and outside ``T.batch_split``, on all rows or the head
+    rows, on one lane or two, at desk size and at 64 px (T = 260, where the
+    attention scores run in chunks of one head and the GELU in two halves),
+    and keeps only what its backward reads."""
+
+    def attention_case(self, rng, mode, b, n, m, d):
+        layout = TokenLayout(mode, n, m)
+        mask = (mode_masks(mode, n, m, rng.integers(0, n, size=(b, m)))
+                if mode.dynamic else mode_masks(mode, n, m))
+        x, gamma, beta = leaves(rng, (b, layout.total, d), (d,), (d,))
+        gamma.data += 1.0
+        w = AttentionWeights(*leaves(rng, *[(d, d), (d,)] * 4))
+        return layout, mask, x, gamma, beta, w
+
+    def mlp_case(self, rng, b, t, d):
+        x, gamma, beta, w1, b1, w2, b2 = leaves(rng, (b, t, d), (d,), (d,), (d, 4 * d),
+                                                (4 * d,), (4 * d, d), (d,))
+        gamma.data += 1.0
+        return x, gamma, beta, w1, b1, w2, b2
+
+    def assert_attention_branch_matches(self, rng, mode, split, rows, b, n, m, d, heads):
+        layout, mask, x, gamma, beta, w = self.attention_case(rng, mode, b, n, m, d)
+        rows = layout.head_rows if rows == "head" else slice(0, layout.total)
+        tq = rows.stop - rows.start
+        params = [x, gamma, beta, *w.named("attn").values()]
+        c = T.Tensor(rng.standard_normal((b, tq, d)))
+        node, composed = node_and_composition(
+            [lambda: (masked_attention(x, w, heads, mask, rows, prenorm=(gamma, beta)),),
+             lambda: (unfused_attention_branch(x, gamma, beta, w, heads, mask, rows),)],
+            params, c, split)
+        assert (node[0], composed[0]) == (1, 3 if tq == layout.total else 4)
+        for got, want in zip(node[1:], composed[1:]):
+            assert np.array_equal(got, want)
+        return tq, layout.total
+
+    def assert_mlp_branch_matches(self, rng, split, b, t, d):
+        inputs = self.mlp_case(rng, b, t, d)
+        c = T.Tensor(rng.standard_normal((b, t, d)))
+        node, composed = node_and_composition(
+            [lambda: (mlp_branch(*inputs),), lambda: (unfused_mlp_branch(*inputs),)],
+            inputs, c, split)
+        assert (node[0], composed[0]) == (1, 3)
+        for got, want in zip(node[1:], composed[1:]):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    @pytest.mark.parametrize("rows", ["all", "head"])
+    @pytest.mark.parametrize("split", [None, 1])
+    @pytest.mark.parametrize("mode", list(MessagePassingMode))
+    def test_attention_branch_matches_its_composition(self, monkeypatch, mode, split, rows,
+                                                      lanes):
+        use_lanes(monkeypatch, lanes)
+        rng = np.random.default_rng(60)
+        t = TokenLayout(mode, 3, 9).total
+        # scores in chunks of one sequence, then of one head of a sequence
+        for heads, per_chunk in ((2, 2), (3, 1)):
+            monkeypatch.setattr(T, "_CHUNK_ELEMS", per_chunk * t * t)
+            self.assert_attention_branch_matches(rng, mode, split, rows, 4, 3, 9, 12, heads)
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    @pytest.mark.parametrize("rows", ["all", "head"])
+    @pytest.mark.parametrize("split", [None, 1])
+    @pytest.mark.parametrize("mode", list(MessagePassingMode))
+    def test_mlp_branch_matches_its_composition(self, monkeypatch, mode, split, rows, lanes):
+        use_lanes(monkeypatch, lanes)
+        monkeypatch.setattr(T, "_CHUNK_ELEMS", 64)      # the GELU runs in two halves
+        layout = TokenLayout(mode, 3, 9)
+        tq = (layout.head_rows.stop - layout.head_rows.start if rows == "head"
+              else layout.total)
+        self.assert_mlp_branch_matches(np.random.default_rng(61), split, 4, tq, 12)
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    @pytest.mark.parametrize("rows", ["all", "head"])
+    @pytest.mark.parametrize("split", [None, 4])
+    def test_64px_branches_match_their_compositions(self, monkeypatch, split, rows, lanes):
+        # the wide-train block: samb, N = 4, M = 256, d = 16, 2 heads, B = 8
+        use_lanes(monkeypatch, lanes)
+        rng = np.random.default_rng(62)
+        tq, t = self.assert_attention_branch_matches(rng, MessagePassingMode.SAMB, split,
+                                                     rows, 8, 4, 256, 16, 2)
+        if rows == "all":
+            assert _score_chunks(8, 2, tq, t)[0] == (slice(0, 1), slice(0, 1))
+            assert len(T._row_halves(np.empty((8, t, 64)))) == 2
+        self.assert_mlp_branch_matches(rng, split, 8, tq, 16)
+
+    @pytest.mark.parametrize("rows", ["all", "head"])
+    def test_attention_branch_keeps_no_norm_or_branch_output(self, rows):
+        rng = np.random.default_rng(63)
+        mode, heads = MessagePassingMode.SAMB, 2
+        layout, mask, x, gamma, beta, w = self.attention_case(rng, mode, 4, 3, 9, 12)
+        rows = layout.head_rows if rows == "head" else slice(None)
+        out = masked_attention(x, w, heads, mask, rows, prenorm=(gamma, beta))
+        with T.no_grad():
+            h = T.layer_norm(x, gamma, beta)
+        plain = masked_attention(h, w, heads, mask, rows)
+        node, plain_node = T.tape().nodes
+        kept = closure_arrays(node.backward_fn)
+        for a in kept:
+            for forward in (h.data, plain.data, out.data):
+                assert not np.shares_memory(a, forward)
+                assert a.shape != forward.shape or not np.array_equal(a, forward)
+        # what attention alone keeps, and the layer norm's xhat and inv
+        b, t, d = x.shape
+        assert sorted(a.shape for a in kept) == sorted(
+            [a.shape for a in closure_arrays(plain_node.backward_fn)] + [(b, t, d), (b, t, 1)])
+
+    def test_mlp_branch_keeps_no_norm_branch_or_gelu_output(self):
+        rng = np.random.default_rng(64)
+        x, gamma, beta, w1, b1, w2, b2 = inputs = self.mlp_case(rng, 4, 7, 12)
+        out = mlp_branch(*inputs)
+        node, = T.tape().nodes
+        with T.no_grad():
+            h = T.layer_norm(x, gamma, beta)
+            hidden = T.linear(h, w1, b1)
+            gelu = T.gelu(hidden).data
+            branch = T.mlp(h, w1, b1, w2, b2).data
+        kept = closure_arrays(node.backward_fn)
+        for a in kept:
+            for forward in (h.data, gelu, branch, out.data):
+                assert not np.shares_memory(a, forward)
+                assert a.shape != forward.shape or not np.array_equal(a, forward)
+        # xhat, inv, the pre-activation and its GELU cdf
+        assert sorted(a.shape for a in kept) == [(4, 7, 1), (4, 7, 12), (4, 7, 48), (4, 7, 48)]
+        assert any(np.array_equal(a, hidden.data) for a in kept)
+
+
 class TestStaticMask:
     @pytest.mark.parametrize("mode", list(MessagePassingMode))
     def test_static_mask_is_built_once_and_read_only(self, monkeypatch, mode):
@@ -336,7 +472,7 @@ class TestLayerAssignment:
         calls = []
         attend = samb.model.masked_attention
         monkeypatch.setattr(samb.model, "masked_attention",
-                            lambda *a: calls.append(a) or attend(*a))
+                            lambda *a, **kw: calls.append(a) or attend(*a, **kw))
         model = VitSamb(small_cfg(mode=mode, gumbel=GumbelConfig()),
                         np.random.default_rng(30))
         imgs = np.random.default_rng(31).random((2, 3, 16, 16))

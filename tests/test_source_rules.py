@@ -6,6 +6,8 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
+
 import samb
 
 
@@ -76,20 +78,63 @@ def test_only_the_tensor_module_imports_threads():
     assert importers == {"tensor.py"}
 
 
+def load_perfbench(monkeypatch, name: str) -> types.ModuleType:
+    """``perfbench/<name>.py`` as a module, without writing bytecode there."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)    # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_tracer_wiring_resolves(monkeypatch):
     # perfbench/tracer.py wraps these samb attributes by name; a deletion or
     # rename that would break the benchmark fails here first
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load_perfbench(monkeypatch, "tracer")
     names = [("samb.tensor", attr) for attr in
              (*tracer.TENSOR_OPS, "clear_tape", "tape", "start_flop_count",
               "stop_flop_count")]
     names += [(owner, attr) for owner, attr, _ in tracer.SPANS + tracer.GENERATORS]
     for owner, attr in names:
         tracer._lookup(owner, attr)
+
+
+def test_benchmark_tracer_sees_every_desk_train_layer(monkeypatch, tmp_path):
+    # desk-train's config at 2 + 2 steps on its tiny data, then an evaluate of
+    # the saved model, in-process under the benchmark's tracer: a call that
+    # bypasses a wrapped name, or a tape node without what the tracer reads
+    # (``output``, ``backward_fn``), fails here and not only in the benchmark
+    from samb import cli, data, trainer
+    from samb.model import VitSamb
+
+    tracer_mod = load_perfbench(monkeypatch, "tracer")
+    workloads = load_perfbench(monkeypatch, "workloads")
+    w = workloads.WORKLOADS["desk-train"]
+    tiny = dict(w.tiny, iterations_1=2, iterations_2=2)
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    for name, ds in data.generate(data.SyntheticSpec(
+            seed=workloads.MODEL_SEED, **workloads.with_tiny(w.spec, tiny))).items():
+        ds.save(str(data_dir / f"{name}.sdsh"))
+    cfg_path = tmp_path / "train.cfg"
+    cfg_path.write_text(workloads.config_text(workloads.with_tiny(w.config, tiny),
+                                              str(data_dir)))
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+        splits = cli.load_datasets(str(data_dir))
+        cfg, _ = cli.train_config_from(cli.parse_config(cfg_path), splits["source_train"])
+        model = VitSamb(cfg.model, np.random.default_rng(0))
+        model.load(str(tmp_path / "o" / "checkpoint_stage2.samb"))
+        assert 0.0 <= trainer.evaluate(model, splits["target_eval"]) <= 1.0
+    finally:
+        tracer.uninstall()
+    tracer.check_expected(w.layers)
+    assert tracer.nodes_total > 0 and tracer.backward_nodes > 0
+    assert tracer.peak_tape_bytes > 0 and tracer.flops > 0
 
 
 def test_benchmark_worker_wiring_resolves():

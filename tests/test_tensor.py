@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import threading
+import warnings
 import weakref
 
 import numpy as np
@@ -390,6 +391,21 @@ class TestRunLanes:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
+
+    def test_the_helper_lane_keeps_the_callers_errstate(self, monkeypatch):
+        # each lane overflows once; under the caller's errstate neither warns
+        use_lanes(monkeypatch, 2)
+        seen = []
+
+        def overflow(lane, i):
+            seen.append((lane, np.multiply(np.full(1, 1e300), 1e300)[0]))
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with np.errstate(over="ignore"):
+                T.run_lanes(overflow, 2)
+        assert sorted(seen) == [(0, np.inf), (1, np.inf)]
+        assert caught == []
 
     def test_a_forked_child_gets_its_own_helper(self, monkeypatch):
         # the parent's helper thread does not exist in a forked child
