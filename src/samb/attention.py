@@ -50,6 +50,18 @@ class MessagePassingMode(Enum):
     def has_group_tokens(self) -> bool:
         return self is not MessagePassingMode.VANILLA_CLS
 
+    @property
+    def broadcasts(self) -> bool:
+        """An image token reads only the group token that owns it."""
+        return self in (MessagePassingMode.SAMB, MessagePassingMode.SAMB_D,
+                        MessagePassingMode.G_L, MessagePassingMode.G_L_D)
+
+    @property
+    def gathers(self) -> bool:
+        """A group token reads only the image tokens it owns."""
+        return self in (MessagePassingMode.SAMG, MessagePassingMode.SAMG_D,
+                        MessagePassingMode.G_L, MessagePassingMode.G_L_D)
+
 
 @dataclass
 class TokenLayout:
@@ -201,7 +213,8 @@ def mode_masks(mode: MessagePassingMode, n: int, m: int,
 
     For static modes the contiguous even split defines the regions; dynamic
     modes require ``hard_assignment`` ([..., M] group index per image token).
-    Entries are 0 (keep) or -inf (cut).
+    Entries are 0 (keep) or -inf (cut).  Every -inf lies in the N group
+    rows or the N group columns (``mask_bands``).
     """
     if mode.dynamic:
         if hard_assignment is None:
@@ -220,22 +233,51 @@ def mode_masks(mode: MessagePassingMode, n: int, m: int,
         return mask
 
     gs, ps = layout.group_start, layout.patch_start
-    mask[..., gs:gs + n, gs:gs + n] = group_exclusion_mask(n)
-    if mode is MessagePassingMode.G_G:
+    mask[..., gs:ps, gs:ps] = group_exclusion_mask(n)
+    if hard is None:
         return mask
-
     bmask = assignment_to_broadcast_mask(hard, n)            # [..., M, N]
-    amask = np.swapaxes(bmask, -1, -2)                       # [..., N, M]
-    if mode in (MessagePassingMode.SAMB, MessagePassingMode.SAMB_D):
-        mask[..., ps:, gs:gs + n] = bmask
-    elif mode in (MessagePassingMode.SAMG, MessagePassingMode.SAMG_D):
-        mask[..., gs:gs + n, ps:] = amask
-    elif mode in (MessagePassingMode.G_L, MessagePassingMode.G_L_D):
-        # group tokens are local in both directions; the class token row and
-        # column stay fully unmasked
-        mask[..., ps:, gs:gs + n] = bmask
-        mask[..., gs:gs + n, ps:] = amask
+    # g-l: the group tokens are local in both directions; the class token
+    # row and column stay fully unmasked
+    if mode.broadcasts:
+        mask[..., ps:, gs:ps] = bmask
+    if mode.gathers:
+        mask[..., gs:ps, ps:] = np.swapaxes(bmask, -1, -2)
     return mask
+
+
+# (rows, columns, values): an additive mask on the scores' block of those
+# token rows and columns; values are [rows, columns] or [B, rows, columns]
+Band = tuple[slice, slice, np.ndarray]
+
+
+def mask_bands(mode: MessagePassingMode, layout: TokenLayout, mask: np.ndarray,
+               hard: Optional[np.ndarray] = None) -> list[Band]:
+    """The blocks of a mode's [T, T] ``mask`` (``mode_masks``) that can hold
+    a cut, as bands for ``masked_attention``.
+
+    Each image token reaches exactly one group token, so every -inf lies in
+    the group tokens' own [N, N] block, the image rows' group columns
+    ([M, N], modes that broadcast) or the group rows' image columns ([N, M],
+    modes that gather); the bands are views of those blocks.  With [B, M]
+    ``hard`` the image blocks come instead from its [B, M, N] owner band
+    (``assignment_to_broadcast_mask``) and its transpose: a dynamic mode's
+    mask for that assignment, of which ``mask`` gives only the group block.
+    """
+    if not mode.has_group_tokens:
+        return []
+    g, p = slice(layout.group_start, layout.patch_start), slice(layout.patch_start, None)
+    if hard is None:
+        columns, rows = mask[p, g], mask[g, p]
+    else:
+        columns = assignment_to_broadcast_mask(hard, layout.n_groups)
+        rows = np.swapaxes(columns, -1, -2)
+    bands = [(g, g, mask[g, g])]
+    if mode.broadcasts:
+        bands.append((p, g, columns))
+    if mode.gathers:
+        bands.append((g, p, rows))
+    return bands
 
 
 @dataclass
@@ -255,35 +297,43 @@ class AttentionWeights:
 
 
 def masked_attention(tokens: Tensor, weights: AttentionWeights, n_heads: int,
-                     mask: Union[np.ndarray, Callable[[np.ndarray, np.ndarray], np.ndarray]],
+                     mask: Union[np.ndarray, list[Band], Callable[[np.ndarray, np.ndarray],
+                                                                  Union[np.ndarray, list[Band]]]],
                      rows: slice = slice(None),
                      prenorm: Optional[tuple[Tensor, Tensor]] = None) -> Tensor:
     """Multi-head attention over [B, T, d] tokens with one shared additive
     score mask per sequence (the same mask for every head), as one tape node.
 
-    ``mask`` is a [T, T] or [B, T, T] array, or a function of the [B, T, d]
-    q and k arrays this call projects, called once before attending, that
-    returns one.  Only the query rows in the contiguous slice ``rows`` attend,
-    against keys and values of every token: the output is [B, len(rows), d],
-    the matching rows of the all-rows output, with the same bits.
+    ``mask`` is a [T, T] or [B, T, T] array; or a list of bands
+    (``mask_bands``), each of which adds its [r, c] or [B, r, c] values to
+    the scores of its rows and columns, the rest of the mask being 0; or a
+    function of the [B, T, d] q and k arrays this call projects, called once
+    before attending, that returns either.  An array is the band over every
+    row and column.  Only the query rows in the contiguous slice ``rows``
+    attend, against keys and values of every token: the output is
+    [B, len(rows), d], the matching rows of the all-rows output, with the
+    same bits.  Adding a band in place of its full [T, T] mask leaves every
+    score's bits, except that a -0.0 no longer becomes +0.0, which the
+    softmax cannot tell apart: output and gradients are bit-identical.
 
     With ``prenorm=(gamma, beta)`` the call is a pre-norm residual branch:
     it attends over ``T.layer_norm(tokens, gamma, beta)`` and adds the
     ``rows`` of ``tokens`` to the output.
 
     The node keeps the head splits of q, k and v, the kernel's buffers, row
-    statistics and mask (``_attend``), the merged attention output that the
-    output projection reads and, with ``prenorm``, the layer norm's ``xhat``
-    and ``inv``; not the [B, T, d] projections, the layer norm's output or
-    the attention output before the residual add.  Its backward runs the
-    steps of the backward walk over the composition (``layer_norm``),
-    ``linear`` (q, k, v), ``narrow`` (q rows), kernel, ``linear`` (output),
-    (``narrow`` of the residual rows, ``add``): the output projection, the
-    kernel, the q-row narrow's zero padding, then v, k and q, whose
-    gradients it adds as ``(v + k) + q``; with ``prenorm``, it recomputes the
-    layer norm's output for the weight gradients, runs the layer norm's
-    backward and adds its gradient to the residual's (zero-padded to every
-    row).  Output and gradients are bit-identical to the composition's
+    statistics and the bands' values as views (``_attend``), the merged
+    attention output that the output projection reads and, with
+    ``prenorm``, the layer norm's ``xhat`` and ``inv``; not the [B, T, d]
+    projections, the layer norm's output or the attention output before the
+    residual add.  Its backward runs the steps of the backward walk over the
+    composition (``layer_norm``), ``linear`` (q, k, v), ``narrow`` (q rows),
+    kernel, ``linear`` (output), (``narrow`` of the residual rows, ``add``):
+    the output projection, the kernel, the q-row narrow's zero padding, then
+    v, k and q, whose gradients it adds in place as ``(v + k) + q``; with
+    ``prenorm``, it recomputes the layer norm's output for the weight
+    gradients, runs the layer norm's backward and adds its gradient to the
+    residual's (zero-padded to every row).  Output and gradients are
+    bit-identical to the composition's
     (``tests/helpers.py::unfused_masked_attention`` and
     ``unfused_attention_branch``) when the tokens feed no later node.
     """
@@ -303,14 +353,10 @@ def masked_attention(tokens: Tensor, weights: AttentionWeights, n_heads: int,
     q = T._affine(x, w.wq, w.bq, "attention")
     k = T._affine(x, w.wk, w.bk, "attention")
     v = T._affine(x, w.wv, w.bv, "attention")
-    mask = np.asarray(mask(q, k) if callable(mask) else mask)
-    if mask.shape not in ((t, t), (b, t, t)):
-        raise DimensionError(f"attention: mask {mask.shape} fits neither [T, T] "
-                             f"nor [B, T, T] of tokens {tokens.shape}")
-    # [B, 1, Tq, T]: one mask per sequence, broadcast over the heads
-    mask = np.broadcast_to(mask.reshape(-1, 1, t, t)[..., start:stop, :],
-                           (b, 1, stop - start, t))
-    merged, attend_backward = _attend(q[:, start:stop], k, v, n_heads, mask)
+    mask = mask(q, k) if callable(mask) else mask
+    bands = mask if isinstance(mask, list) else [(slice(None), slice(None), mask)]
+    merged, attend_backward = _attend(q[:, start:stop], k, v, n_heads,
+                                      _score_bands(bands, tokens.shape, start, stop))
     out = T._affine(merged, w.wo, w.bo, "attention")
     if prenorm is not None:
         out += tokens.data[:, start:stop]        # the residual
@@ -329,11 +375,15 @@ def masked_attention(tokens: Tensor, weights: AttentionWeights, n_heads: int,
         gq = pad(gq)
         x = tokens.data if xhat is None else T._scale_shift(xhat, gamma, beta)
         need_h = tokens.requires_grad or xhat is not None
-        gx_v, gwv, gbv = T._affine_grads(x, w.wv, w.bv, gv, need_h)
+        gx, gwv, gbv = T._affine_grads(x, w.wv, w.bv, gv, need_h)
         gx_k, gwk, gbk = T._affine_grads(x, w.wk, w.bk, gk, need_h)
+        if need_h:
+            gx += gx_k                           # (v + k), in v's new buffer
+        del gv, gk, gx_k
         gx_q, gwq, gbq = T._affine_grads(x, w.wq, w.bq, gq, need_h)
-        del x, gq, gk, gv
-        gx = (gx_v + gx_k) + gx_q if need_h else None
+        if need_h:
+            gx += gx_q
+        del x, gq, gx_q
         grads = gwq, gbq, gwk, gbk, gwv, gbv, gwo, gbo
         if xhat is None:
             return (gx, *grads)
@@ -358,28 +408,56 @@ def _score_chunks(b: int, n_heads: int, tq: int, tk: int) -> list[tuple[slice, s
             for i in range(b) for h in range(0, n_heads, per_chunk)]
 
 
+def _score_bands(bands: list[Band], shape: tuple, start: int, stop: int) -> list[Band]:
+    """``bands`` of a mask on the scores of [B, T, d] tokens, cut to the
+    query rows ``start:stop``: each band's rows among them, counted from
+    ``start``, and its values as a [B, 1, rows, columns] or [1, 1, rows,
+    columns] view, one mask per sequence or one for all, broadcast over the
+    heads.  A band with no such row is left out."""
+    b, t, _ = shape
+    cut = []
+    for rows, cols, values in bands:
+        (r0, r1, r_step), (c0, c1, c_step) = rows.indices(t), cols.indices(t)
+        values = np.asarray(values)
+        block = (r1 - r0, c1 - c0)
+        if values.shape not in (block, (b, *block)) or r_step != 1 or c_step != 1:
+            raise DimensionError(f"attention: mask {values.shape} fits neither {list(block)} "
+                                 f"nor [B, {block[0]}, {block[1]}] of rows {r0}:{r1} and "
+                                 f"columns {c0}:{c1} of tokens {shape}")
+        lo, hi = max(r0, start), min(r1, stop)
+        if lo < hi:
+            values = values[..., lo - r0:hi - r0, :]
+            values = values[None, None] if values.ndim == 2 else values[:, None]
+            cut.append((slice(lo - start, hi - start), slice(c0, c1), values))
+    return cut
+
+
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
-            mask: np.ndarray) -> tuple[np.ndarray, Callable]:
+            bands: list[Band]) -> tuple[np.ndarray, Callable]:
     """softmax(q_h k_h^T / sqrt(dh) + mask) v_h per head, merged back to
-    [B, Tq, d], for [B, Tq, d] ``q``, [B, Tk, d] ``k`` and ``v``, and a
-    [B, 1, Tq, Tk] ``mask``.  Returns the merged output and its backward,
-    which maps the output's gradient to those of q, k and v.
+    [B, Tq, d], for [B, Tq, d] ``q``, [B, Tk, d] ``k`` and ``v``, and a mask
+    given as ``bands`` whose values are [B, 1, rows, columns] or [1, 1, rows,
+    columns] (``_score_bands``); the mask is 0 outside them.  Returns the
+    merged output and its backward, which maps the output's gradient to
+    those of q, k and v.
 
     The [B, H, Tq, Tk] scores never exist at once: they are walked in the
     chunks of ``_score_chunks``, which ``T.run_lanes`` shares between two
-    lanes.  A chunk reads its sequences' rows of ``mask`` as a view, so no
-    mask is copied per sequence or head.  Each lane scales, masks and
-    normalises its chunk in place in its own reused buffer, which becomes
-    that chunk's probabilities.  The kernel keeps the contiguous head
-    splits of q and v, k^T, the row max and row sum, and the buffers; the
-    backward runs the chunks in reverse, so each lane starts on the chunk
-    its buffer still holds (``held``; another one after a repeated backward
-    or a change of lane count), and recomputes every other chunk's
-    probabilities from the saved row statistics.  Chunks write disjoint
-    (sequence, head) blocks, and the numpy operations, their order and
-    their operands' layouts are those of the primitive-op composition, so
-    forward and backward are bit-identical to it on one lane or two.  For
-    the same reason the scale is not folded into q: that rounds differently.
+    lanes.  A chunk adds its sequences' rows of each band's values, as a
+    view, to that band's block of its scores, so no mask is copied per
+    sequence or head.  Each lane scales, masks and normalises its chunk in
+    place in its own reused buffer, which becomes that chunk's
+    probabilities.  The kernel keeps the contiguous head splits of q and v,
+    k^T, the row max and row sum, the buffers and the bands; the backward
+    runs the chunks in reverse, so each lane starts on the chunk its buffer
+    still holds (``held``; another one after a repeated backward or a change
+    of lane count), and recomputes every other chunk's probabilities from
+    the saved row statistics.  Its per-lane scratch is freed before the
+    gradients are merged.  Chunks write disjoint (sequence, head) blocks,
+    and the numpy operations, their order and their operands' layouts are
+    those of the primitive-op composition, so forward and backward are
+    bit-identical to it on one lane or two.  For the same reason the scale
+    is not folded into q: that rounds differently.
     """
     b, tq, d = q.shape
     tk = k.shape[1]
@@ -411,7 +489,9 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
         c = chunks[i]
         y = np.matmul(qh[c], kt[c], out=fit(bufs[lane], i))
         y *= scale
-        y += mask[c[0]]
+        for rows, cols, values in bands:
+            block = y[..., rows, cols]
+            block += values if len(values) == 1 else values[c[0]]
         return y
 
     out = np.empty((b, n_heads, tq, dh))
@@ -461,6 +541,7 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
             np.matmul(np.swapaxes(qh[c], -1, -2), p, out=dkt[c])
 
         T.run_lanes(grads, len(chunks), reverse=True)
+        del scratch
         return merge(dq), merge(dkt.transpose(0, 1, 3, 2)), merge(dv)
 
     return merge(out), backward

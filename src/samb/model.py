@@ -11,8 +11,8 @@ import numpy as np
 
 from . import tensor as T
 from .attention import (AttentionWeights, GumbelConfig, MessagePassingMode,
-                        TokenLayout, gumbel_assign, masked_attention, mode_masks,
-                        sample_gumbel)
+                        TokenLayout, contiguous_regions, gumbel_assign, mask_bands,
+                        masked_attention, mode_masks, sample_gumbel)
 from .errors import ConfigError, ContractError, DegenerateMaskError, NumericError
 from .tensor import Tensor
 
@@ -184,12 +184,16 @@ class VitSamb:
         patch_dim = p * p * cfg.in_channels
 
         self._params: dict[str, Tensor] = {}   # record name -> parameter
-        # a static mode's mask depends only on the config; read-only, so that
-        # an in-place write raises instead of corrupting later forwards
-        self._static_mask: Optional[np.ndarray] = None
-        if not cfg.mode.dynamic:
-            self._static_mask = mode_masks(cfg.mode, cfg.num_group_tokens, cfg.num_patches)
-            self._static_mask.flags.writeable = False
+        # the mode's [T, T] mask (for the contiguous regions in a dynamic mode,
+        # whose forwards read only its group block) and a static mode's bands
+        # of it; read-only, so that an in-place write raises instead of
+        # corrupting later forwards
+        n, m = cfg.num_group_tokens, cfg.num_patches
+        self._mask = mode_masks(cfg.mode, n, m,
+                                contiguous_regions(n, m) if cfg.mode.dynamic else None)
+        self._mask.flags.writeable = False
+        self._bands = None if cfg.mode.dynamic else mask_bands(cfg.mode, cfg.layout, self._mask)
+        self._gumbel_eval = replace(cfg.gumbel, noise_enabled=False)
 
         def leaf(data):
             return Tensor(data, requires_grad=True)
@@ -290,7 +294,7 @@ class VitSamb:
         qp = q[:, layout.patch_start:]
         kg = k[:, layout.group_start:layout.patch_start]
         logits = np.matmul(qp, np.swapaxes(kg, -1, -2)) / np.sqrt(cfg.embed_dim)
-        gcfg = cfg.gumbel if noise is not None else replace(cfg.gumbel, noise_enabled=False)
+        gcfg = cfg.gumbel if noise is not None else self._gumbel_eval
         return gumbel_assign(Tensor(logits), gcfg, noise=noise).hard
 
     def forward(self, images: np.ndarray, train: bool = False,
@@ -353,17 +357,17 @@ class VitSamb:
         assignments: list[np.ndarray] = []
 
         def dynamic_mask(i: int):
-            def mask(q: np.ndarray, k: np.ndarray) -> np.ndarray:
+            def mask(q: np.ndarray, k: np.ndarray) -> list:
                 hard = self._layer_assignment(q, k, noise[i])
                 assignments.append(hard)
-                return mode_masks(cfg.mode, n, m, hard)
+                return mask_bands(cfg.mode, layout, self._mask, hard)
             return mask
 
         # the last block computes only the rows the head reads; its keys and
         # values still cover every token
         head = layout.head_rows
         for i, blk in enumerate(self.blocks):
-            mask = dynamic_mask(i) if cfg.mode.dynamic else self._static_mask
+            mask = dynamic_mask(i) if cfg.mode.dynamic else self._bands
             try:                                 # one place names the block
                 x = masked_attention(x, blk["attn"], cfg.heads, mask,
                                      head if i == cfg.depth - 1 else slice(None),

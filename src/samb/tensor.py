@@ -15,9 +15,11 @@ value; it flows through ``softmax`` as exact zero probability.
 Wide kernels share their work between two lanes (``run_lanes``): the
 calling thread and one helper thread that runs numpy and scipy only, which
 release the interpreter lock.  Lane ``l`` runs every second item from ``l``
-on, a fixed stride, so which lane runs an item never depends on timing.
-This module is the package's one owner of process-wide policy: the
-threads, and glibc's heap policy (``_keep_freed_memory``).  The GELU's
+on, a fixed stride, so which lane runs an item never depends on timing;
+while OpenBLAS runs threads of its own, lane 0 runs every item
+(``_usable_cpus``).  This module is the package's one owner of
+process-wide policy: the threads, and glibc's heap policy
+(``_keep_freed_memory``).  The GELU's
 ``erf`` is scipy's compiled ufunc, loaded without ``scipy.special``
 (``_load_erf``).
 """
@@ -28,6 +30,7 @@ import concurrent.futures
 import contextlib
 import contextvars
 import ctypes
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -117,7 +120,43 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=lambda: _LANE1.__setitem__(0, None))
 
 
+@functools.cache
+def _find_blas_threads() -> Callable[[], Optional[int]]:
+    """The thread-count query of the OpenBLAS this process has mapped (numpy's
+    bundled library), found on first use as ``perfbench/worker.py``'s
+    ``blas_threads`` finds it; where there is none, a query that answers
+    None."""
+    try:
+        with open("/proc/self/maps") as f:
+            libs = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+    except OSError:                             # no /proc on this platform
+        libs = []
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_get_num_threads64_",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            query = getattr(handle, name, None)
+            if query is not None:
+                query.argtypes, query.restype = (), ctypes.c_int
+                return query
+    return lambda: None
+
+
+def _blas_threads() -> Optional[int]:
+    return _find_blas_threads()()
+
+
 def _usable_cpus() -> int:
+    """The CPUs the lanes may use: those this process may run on, or one
+    while OpenBLAS runs threads of its own, which the helper lane would
+    contend with.  With 2 OpenBLAS threads on a 2-vCPU x86_64 guest, a
+    12 + 12-iteration 64 px samb ``samb train`` at B = 8 took a median
+    2.07 s on two lanes and 1.73 s on one (six alternating pairs)."""
+    if (_blas_threads() or 1) > 1:
+        return 1
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:                      # no affinity on this platform
@@ -128,8 +167,9 @@ def run_lanes(fn: Callable[[int, int], None], n: int, reverse: bool = False) -> 
     """Call ``fn(lane, i)`` once for every ``i`` in ``range(n)``.
 
     Lane 0 is the calling thread; lane 1 is one helper thread, made on first
-    use and reused.  With at least 2 items and 2 usable CPUs, lane ``l``
-    runs items ``l, l+2, ...``; otherwise lane 0 runs them all.  Each lane
+    use and reused.  With at least 2 items and 2 usable CPUs (one while BLAS
+    is threaded, ``_usable_cpus``), lane ``l`` runs items ``l, l+2, ...``;
+    otherwise lane 0 runs them all.  Each lane
     runs its items in increasing order, or decreasing with ``reverse``, so a
     reversed call starts each lane on the last item it ran in a forward one.
     ``fn`` must run numpy only when lane 1 calls it: tape, spans and the FLOP
@@ -445,12 +485,16 @@ def _mlp_forward(x: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
 def _mlp_hidden_grads(a: np.ndarray, cdf: np.ndarray, w2: Tensor, b2: Tensor,
                       g: np.ndarray):
     """Gradients of ``gelu(a) @ w2 + b2`` for the pre-activation ``a``, w2 and
-    b2.  The GELU output is recomputed as ``a * cdf``, the bits the forward
-    wrote, and freed before the GELU's backward allocates its result."""
-    h = np.multiply(a, cdf)
-    gh, gw2, gb2 = _affine_grads(h, w2, b2, g, True)
-    del h
-    return _gelu_backward(a, cdf, gh), gw2, gb2
+    b2.  The only new array of a's size is ``g @ w2^T``, which becomes a's
+    gradient in place; the GELU output is recomputed piece by piece
+    (``_gelu_backward``)."""
+    ga = np.matmul(g, w2.data.T)
+    products = (np.empty(a.shape[:-2] + (a.shape[-1], g.shape[-1]))
+                if w2.requires_grad else None)
+    _gelu_backward(a, cdf, ga, g, products)
+    gw2 = _reduce_to(products, w2.shape) if products is not None else None
+    gb2 = _reduce_to(g, b2.shape) if b2.requires_grad else None
+    return ga, gw2, gb2
 
 
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
@@ -583,28 +627,61 @@ def _gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cdf, h
 
 
-def _gelu_backward(x: np.ndarray, cdf: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``g * (cdf + x * pdf(x))`` in one new buffer; writes nothing else."""
-    gx = np.empty_like(x)
-    parts = _row_halves(x)
+def _sequence_pieces(x: np.ndarray) -> list:
+    """Slices of whole sequences (axis 0) of a [B, ..., d] ``x`` for the
+    lanes, each of at most ``_CHUNK_ELEMS // 2`` elements or one sequence;
+    all of ``x`` (``[...]``) below ``_CHUNK_ELEMS`` elements, as
+    ``_row_halves`` keeps it, or when ``x`` is not [B, ..., d].  At 64 px
+    (B = 16, [260, 64] per sequence) 1 MiB pieces left an MLP backward's peak
+    at 4.1 MB, pieces of half that at 3.4 MB: there the peak moves past the
+    GELU."""
+    if x.ndim < 3 or x.size < _CHUNK_ELEMS:
+        return [...]
+    per = max(1, _CHUNK_ELEMS // 2 // math.prod(x.shape[1:]))
+    return [slice(i, min(i + per, x.shape[0])) for i in range(0, x.shape[0], per)]
+
+
+def _gelu_backward(x: np.ndarray, cdf: np.ndarray, gx: np.ndarray,
+                   g: Optional[np.ndarray] = None,
+                   products: Optional[np.ndarray] = None) -> np.ndarray:
+    """Multiply ``gx``, the gradient of the exact GELU's output at ``x``, in
+    place by the GELU's derivative ``cdf + x * pdf(x)``, and return it.
+
+    With ``products``, the call also writes there the products
+    ``h^T @ g`` per sequence of the GELU output ``h`` and the gradient ``g``
+    of ``h @ w``: w's gradient before its sum over the sequences.  ``h`` is
+    recomputed as ``x * cdf``, the bits the forward wrote.  The work runs in
+    pieces of whole sequences (``_sequence_pieces``) that the lanes share,
+    each lane in one reused scratch piece, so nothing else of ``x``'s size
+    is allocated; per sequence, numpy's stacked product makes the BLAS call
+    it made over the whole array, and IEEE multiplication commutes, so every
+    bit is that of the plain expressions.
+    """
+    pieces = _sequence_pieces(x)
+    scratch = [np.empty_like(x[pieces[0]]) for _ in pieces[:2]]
 
     def part(lane: int, i: int):
-        s = parts[i]
-        y = np.multiply(x[s], -0.5, out=gx[s])
-        y *= x[s]
+        s = pieces[i]
+        xs = x[s]
+        y = scratch[lane] if len(pieces) == 1 else scratch[lane][:len(xs)]
+        if products is not None:
+            np.multiply(xs, cdf[s], out=y)
+            np.matmul(np.swapaxes(y, -1, -2), g[s], out=products[s])
+        np.multiply(xs, -0.5, out=y)
+        y *= xs
         np.exp(y, out=y)
         y *= _INV_SQRT2PI                       # pdf
-        y *= x[s]
+        y *= xs
         y += cdf[s]
-        y *= g[s]
+        np.multiply(gx[s], y, out=gx[s])
 
-    run_lanes(part, len(parts))
+    run_lanes(part, len(pieces))
     return gx
 
 
 def gelu(a: Tensor) -> Tensor:
     cdf, y = _gelu_forward(a.data)
-    return _record(Tensor(y), (a,), lambda g: (_gelu_backward(a.data, cdf, g),))
+    return _record(Tensor(y), (a,), lambda g: (_gelu_backward(a.data, cdf, g.copy()),))
 
 
 def log(a: Tensor) -> Tensor:

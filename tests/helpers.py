@@ -6,7 +6,8 @@ import numpy as np
 
 import samb.tensor as T
 from samb.alignment import domain_loss, grl
-from samb.attention import GumbelConfig, _attend, gumbel_assign, masked_attention, mode_masks
+from samb.attention import (GumbelConfig, _attend, _score_bands, gumbel_assign,
+                            masked_attention, mode_masks)
 from samb.model import ForwardResult
 
 
@@ -129,17 +130,17 @@ def unfused_masked_attention(tokens, w, n_heads: int, mask, rows: slice = slice(
     q, k and v, a ``narrow`` of q to ``rows``, the chunked kernel as one node
     on q, k and v, and the output ``linear``.  The single node must match
     it bit for bit."""
-    b, t, _ = tokens.shape
+    t = tokens.shape[1]
     start, stop, _ = rows.indices(t)
     q = T.linear(tokens, w.wq, w.bq)
     k = T.linear(tokens, w.wk, w.bk)
     v = T.linear(tokens, w.wv, w.bv)
-    mask = np.asarray(mask(q.data, k.data) if callable(mask) else mask)
-    mask = np.broadcast_to(mask.reshape(-1, 1, t, t)[..., start:stop, :],
-                           (b, 1, stop - start, t))
+    mask = mask(q.data, k.data) if callable(mask) else mask
+    bands = mask if isinstance(mask, list) else [(slice(None), slice(None), mask)]
     if stop - start < t:
         q = T.narrow(q, 1, start, stop - start)
-    out, backward = _attend(q.data, k.data, v.data, n_heads, mask)
+    out, backward = _attend(q.data, k.data, v.data, n_heads,
+                            _score_bands(bands, tokens.shape, start, stop))
     return T.linear(T.custom_op(out, (q, k, v), backward), w.wo, w.bo)
 
 

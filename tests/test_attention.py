@@ -9,7 +9,8 @@ import samb.tensor as T
 import samb.attention
 from samb.attention import (AttentionWeights, GumbelConfig, MessagePassingMode,
                             TokenLayout, _attend, _score_chunks, contiguous_regions,
-                            gumbel_assign, handcrafted_mask, masked_attention, mode_masks)
+                            gumbel_assign, handcrafted_mask, mask_bands, masked_attention,
+                            mode_masks)
 from samb.errors import (ConfigError, ContractError, DegenerateMaskError,
                          DimensionError, NumericError)
 from samb.tensor import Tensor
@@ -442,6 +443,47 @@ class TestAttentionNode:
                 for composed in compositions:
                     assert np.array_equal(node, composed)
 
+    @pytest.mark.parametrize("lanes", [1, 2])
+    @pytest.mark.parametrize("rows", ["all", "head"])
+    @pytest.mark.parametrize("mode", list(MessagePassingMode))
+    def test_bands_match_the_full_mask_bit_for_bit(self, monkeypatch, mode, rows, lanes):
+        # the model's bands (a static mode's, or a dynamic mode's group block
+        # and owner bands) against the [T, T] / [B, T, T] mask they cut,
+        # with one chunk per sequence, so that two lanes share them
+        rng = np.random.default_rng(35)
+        use_lanes(monkeypatch, lanes)
+        n, m, heads = self.N, self.M, 2
+        layout = TokenLayout(mode, n, m)
+        rows = layout.head_rows if rows == "head" else slice(0, layout.total)
+        tq, t = rows.stop - rows.start, layout.total
+        monkeypatch.setattr(T, "_CHUNK_ELEMS", heads * tq * t)
+        hard = rng.integers(0, n, size=(self.B, m)) if mode.dynamic else None
+        base = mode_masks(mode, n, m, contiguous_regions(n, m) if mode.dynamic else None)
+        bands = mask_bands(mode, layout, base, hard)
+        _, x, w = self.case(rng, mode)
+        c = Tensor(rng.standard_normal((self.B, tq, self.D)))
+        params = [x] + list(w.named("attn").values())
+        results = []
+        for mask in (mode_masks(mode, n, m, hard), bands, lambda q, k: bands):
+            T.clear_tape()
+            for p in params:
+                p.zero_grad()
+            out = masked_attention(x, w, heads, mask, rows)
+            T.backward(T.sum_all(out * c))
+            results.append([out.data] + [p.grad for p in params])
+        for full, *banded in zip(*results):
+            for got in banded:
+                assert np.array_equal(got, full)
+
+    @pytest.mark.parametrize("values, rows, cols", [
+        ((3, 2), slice(0, 4), slice(0, 2)), ((3, 4, 2), slice(0, 4), slice(0, 2)),
+        ((4, 4), slice(0, 4, 2), slice(0, 4))], ids=["wrong-rows", "wrong-B", "strided"])
+    def test_band_of_another_shape_is_rejected(self, values, rows, cols):
+        rng = np.random.default_rng(36)
+        x = Tensor(rng.standard_normal((2, 8, 8)))
+        with pytest.raises(DimensionError, match=r"of tokens \(2, 8, 8\)"):
+            masked_attention(x, random_weights(rng, 8), 2, [(rows, cols, np.zeros(values))])
+
     @pytest.mark.parametrize("rows", [slice(None), slice(0, 3)])
     @pytest.mark.parametrize("mode", list(MessagePassingMode))
     def test_one_call_appends_one_node(self, mode, rows):
@@ -456,7 +498,8 @@ class TestAttentionNode:
 
     def test_head_chunks_read_the_callers_mask(self, monkeypatch):
         # below one sequence per chunk, each chunk reads its sequence's rows
-        # of the [B, T, T] mask the mask function returned, as a view
+        # of the [B, T, T] mask the mask function returned, as a view: the
+        # array is the one band over every row and column
         rng = np.random.default_rng(34)
         use_lanes(monkeypatch, 1)                   # reads in chunk order
         mask, x, w = self.case(rng, MessagePassingMode.SAMB_D)
@@ -471,8 +514,8 @@ class TestAttentionNode:
                 return view
 
         kernel = samb.attention._attend
-        monkeypatch.setattr(samb.attention, "_attend",
-                            lambda q, k, v, h, m: kernel(q, k, v, h, m.view(RecordingMask)))
+        monkeypatch.setattr(samb.attention, "_attend", lambda q, k, v, h, bands: kernel(
+            q, k, v, h, [(r, c, a.view(RecordingMask)) for r, c, a in bands]))
         masked_attention(x, w, 4, lambda q, k: mask)
         assert len(reads) == self.B * 4             # a chunk per (sequence, head)
         for i, view in enumerate(reads):
@@ -603,8 +646,8 @@ class TestLanes:
                 reads.append(key)
                 return np.asarray(self)[key]
 
-        out, backward = _attend(q, k, v, self.HEADS,
-                                np.zeros((8, 1, self.T, self.T)).view(CountingMask))
+        mask = np.zeros((8, 1, self.T, self.T)).view(CountingMask)
+        out, backward = _attend(q, k, v, self.HEADS, [(slice(None), slice(None), mask)])
         assert len(reads) == 8
         reads.clear()
         backward(np.ones(out.shape))
@@ -708,3 +751,35 @@ class TestModeMasks:
 
     def test_vanilla_no_masks(self):
         assert np.all(mode_masks(MessagePassingMode.VANILLA_CLS, 4, 8) == 0)
+
+    @staticmethod
+    def random_case(rng, mode, n, m):
+        """(layout, [B, M] assignment or None, the mode's mask for it)."""
+        hard = rng.integers(0, n, size=(5, m)) if mode.dynamic else None
+        return TokenLayout(mode, n, m), hard, mode_masks(mode, n, m, hard)
+
+    @pytest.mark.parametrize("mode", list(MessagePassingMode))
+    def test_every_cut_lies_in_the_group_rows_or_columns(self, mode):
+        rng = np.random.default_rng(40)
+        for n, m in ((1, 4), (3, 9), (4, 16), (8, 8)):
+            layout, _, mask = self.random_case(rng, mode, n, m)
+            g = slice(layout.group_start, layout.patch_start)
+            outside = np.ones(mask.shape, dtype=bool)
+            outside[..., g, :] = outside[..., :, g] = False
+            assert np.all(mask[outside] == 0)
+            assert np.all((mask == 0) | np.isneginf(mask))
+
+    @pytest.mark.parametrize("mode", list(MessagePassingMode))
+    def test_bands_rebuild_the_mask(self, mode):
+        # a static mode's bands of its mask; a dynamic mode's group block of
+        # the contiguous mask plus the owner bands of a batched assignment
+        rng = np.random.default_rng(41)
+        for n, m in ((1, 4), (3, 9), (4, 16), (8, 8)):
+            layout, hard, mask = self.random_case(rng, mode, n, m)
+            base = mode_masks(mode, n, m, contiguous_regions(n, m) if mode.dynamic else None)
+            rebuilt = np.zeros(mask.shape)
+            for rows, cols, values in mask_bands(mode, layout, base, hard):
+                block = rebuilt[..., rows, cols]
+                assert np.all(block == 0)           # the bands do not overlap
+                block += values
+            assert np.array_equal(rebuilt, mask)

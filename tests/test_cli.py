@@ -290,18 +290,18 @@ class TestTrain:
 
     def test_fully_masked_row_names_block_and_iteration(self, data_dir, tmp_path,
                                                         capsys, monkeypatch):
-        # depth 2: the masks of iteration 1 are block 0, 1 of the paired
+        # depth 2: the mask bands of iteration 1 are block 0, 1 of the paired
         # source and target pass
-        masks, calls = samb.model.mode_masks, []
+        build, calls = samb.model.mask_bands, []
 
-        def cut(*args):
-            mask = masks(*args)
+        def cut(mode, layout, *args):
+            bands = build(mode, layout, *args)
             if len(calls) == 1:
-                mask[..., 0, :] = -np.inf
-            calls.append(mask)
-            return mask
+                bands.append((slice(0, 1), slice(None), np.full((1, layout.total), -np.inf)))
+            calls.append(bands)
+            return bands
 
-        monkeypatch.setattr(samb.model, "mode_masks", cut)
+        monkeypatch.setattr(samb.model, "mask_bands", cut)
         cfg = write_train_cfg(tmp_path / "t.cfg", data_dir, depth=2)
         assert main(["train", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 3

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -379,24 +381,65 @@ class TestBranchNodes:
         assert any(np.array_equal(a, hidden.data) for a in kept)
 
 
+    @pytest.mark.parametrize("mode", [m for m in MessagePassingMode if m.dynamic])
+    def test_64px_dynamic_nodes_keep_no_full_mask(self, mode):
+        # the paired 64 px forward (B = 8 per domain): the attention nodes
+        # keep the [B, M, N] owner bands, no [B, T, T] mask
+        model = VitSamb(small_cfg(image_size=64, mode=mode, num_group_tokens=4,
+                                  gumbel=GumbelConfig()), np.random.default_rng(64))
+        imgs = np.random.default_rng(65).random((16, 3, 64, 64))
+        model.forward(imgs, train=True, rng=np.random.default_rng(66), split=8)
+        b, t = 16, model.cfg.layout.total
+        for node in T.tape().nodes:
+            arrays = closure_arrays(node.backward_fn)
+            assert all(a.size < b * t * t for a in arrays)
+        kept = {a.shape for node in T.tape().nodes for a in closure_arrays(node.backward_fn)}
+        assert (b, 256, 4) in kept or (b, 1, 256, 4) in kept or (b, 1, 4, 256) in kept
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_mlp_branch_backward_allocates_one_hidden_array(self, monkeypatch, lanes):
+        # at the 64 px block-0 shape, besides g @ w2^T (which becomes the
+        # pre-activation's gradient) the backward allocates less than one
+        # more [B, T, 4d] array: the GELU output and its derivative are
+        # recomputed in pieces, in place
+        use_lanes(monkeypatch, lanes)
+        b, t, d = 16, 260, 16
+        inputs = self.mlp_case(np.random.default_rng(67), b, t, d)
+        mlp_branch(*inputs)
+        node, = T.tape().nodes
+        g = np.random.default_rng(68).standard_normal((b, t, d))
+        hidden = 8 * b * t * 4 * d
+        tracemalloc.start()
+        try:
+            grads = node.backward_fn(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hidden < peak < 2 * hidden
+        assert [a.shape for a in grads] == [(b, t, d), (d,), (d,), (d, 4 * d), (4 * d,),
+                                             (4 * d, d), (d,)]
+
+
 class TestStaticMask:
     @pytest.mark.parametrize("mode", list(MessagePassingMode))
     def test_static_mask_is_built_once_and_read_only(self, monkeypatch, mode):
+        # every mode builds its mask once, with the model; a forward reads
+        # bands of it (a dynamic mode adds the owner bands of its assignment)
         built = []
         mode_masks = samb.model.mode_masks
         monkeypatch.setattr(samb.model, "mode_masks",
                             lambda *args: built.append(args) or mode_masks(*args))
         model = VitSamb(small_cfg(mode=mode), np.random.default_rng(27))
-        assert len(built) == (0 if mode.dynamic else 1)   # with the model
+        assert len(built) == 1
         imgs = np.random.default_rng(28).random((2, 3, 16, 16))
         first, second = (model.forward(imgs).logits.data for _ in range(2))
         assert np.array_equal(first, second)
-        if mode.dynamic:                 # one per block and forward
-            assert len(built) == 2 * model.cfg.depth
-        else:
-            assert len(built) == 1
+        assert len(built) == 1
+        with pytest.raises(ValueError, match="read-only"):
+            model._mask[0, 0] = 0.0
+        for _, _, values in model._bands or []:
             with pytest.raises(ValueError, match="read-only"):
-                model._static_mask[0, 0] = 0.0
+                values[...] = 0.0
 
 
 class TestPrunedLastBlock:
@@ -457,6 +500,19 @@ class TestLayerAssignment:
         assert len(seen) == 1 and np.array_equal(seen[0], expected)
         assert np.array_equal(hard, np.argmax(expected, axis=-1))
 
+    def test_noise_free_config_is_built_with_the_model(self, monkeypatch):
+        # not once per block and forward: the model keeps one
+        built = []
+        replace = samb.model.replace
+        monkeypatch.setattr(samb.model, "replace",
+                            lambda *a, **kw: built.append(kw) or replace(*a, **kw))
+        model = VitSamb(small_cfg(gumbel=GumbelConfig()), np.random.default_rng(24))
+        assert built == [{"noise_enabled": False}]
+        imgs = np.random.default_rng(25).random((2, 3, 16, 16))
+        for _ in range(2):
+            model.forward(imgs)
+        assert len(built) == 1 and model._gumbel_eval.noise_enabled is False
+
     @pytest.mark.parametrize("block", [0, 1])
     def test_non_finite_logits_name_the_block(self, block):
         model = VitSamb(small_cfg(), np.random.default_rng(27))
@@ -504,21 +560,21 @@ class TestLayerAssignment:
     @pytest.mark.parametrize("mode", [MessagePassingMode.SAMB, MessagePassingMode.SAMB_D])
     def test_fully_masked_row_names_the_block(self, monkeypatch, mode, block):
         model = VitSamb(small_cfg(mode=mode), np.random.default_rng(32))
+        t = model.cfg.layout.total
         calls = []
 
-        def cut(mask):                   # the mask of block ``block`` cuts row 0
-            mask = np.array(mask)
+        def cut(bands):                  # the bands of block ``block`` cut row 0
             if len(calls) == block:
-                mask[..., 0, :] = -np.inf
-            calls.append(mask)
-            return mask
+                bands = bands + [(slice(0, 1), slice(None), np.full((1, t), -np.inf))]
+            calls.append(bands)
+            return bands
 
-        if mode.dynamic:
-            masks = samb.model.mode_masks
-            monkeypatch.setattr(samb.model, "mode_masks", lambda *a: cut(masks(*a)))
-        else:                            # one mask function in place of the shared mask
-            static = mode_masks(mode, 2, 16)
-            model._static_mask = lambda q, k: cut(static)
+        if mode.dynamic:                 # through mask_bands
+            build = samb.model.mask_bands
+            monkeypatch.setattr(samb.model, "mask_bands", lambda *a: cut(build(*a)))
+        else:                            # one band function in place of the shared bands
+            static = model._bands
+            model._bands = lambda q, k: cut(static)
         imgs = np.random.default_rng(33).random((2, 3, 16, 16))
         with pytest.raises(DegenerateMaskError,
                            match=f"^block {block}: softmax: a row is fully masked"):

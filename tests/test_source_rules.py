@@ -60,6 +60,19 @@ def test_the_model_hands_gumbel_assign_its_noise():
     assert [kw.arg for kw in call.keywords] == ["noise"], f"model.py:{call.lineno}"
 
 
+def test_the_model_builds_its_mask_once():
+    # one call of mode_masks, in VitSamb.__init__: a forward adds bands of
+    # that mask (and a dynamic mode its [B, M, N] owner bands) into the
+    # scores, so no [B, T, T] mask is built per forward
+    path = Path(samb.__file__).parent / "model.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "mode_masks"]
+    [init] = [fn for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "VitSamb"
+              for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"]
+    assert len(calls) == 1 and init.lineno <= calls[0] <= init.end_lineno, calls
+
+
 def test_only_the_tensor_module_imports_threads():
     # one owner of process-wide policy: the lanes of samb.tensor.run_lanes
     # and the heap policy that ctypes sets

@@ -271,6 +271,18 @@ class TestFusedLayerNormAndMlp:
         for a, b in zip(fused, reference):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_mlp_in_sequence_pieces_matches_three_nodes(self, monkeypatch, lanes):
+        # the 64 px block-0 MLP of a paired step: its backward runs in pieces
+        # of 3 sequences, whose w2 products are those of the whole array
+        use_lanes(monkeypatch, lanes)
+        assert len(T._sequence_pieces(np.empty((16, 260, 64)))) == 6
+        inputs, c = self.mlp_inputs((16, 260, 16))
+        fused = output_and_grads(T.mlp, inputs, c)
+        reference = output_and_grads(unfused_mlp, inputs, c)
+        for a, b in zip(fused, reference):
+            assert np.array_equal(a, b)
+
     @pytest.mark.parametrize("op", ["layer_norm", "mlp"])
     def test_second_backward_doubles_every_gradient(self, op):
         # a backward that wrote into what its node saved would change the
@@ -391,6 +403,41 @@ class TestRunLanes:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
+
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_threaded_blas_keeps_every_item_on_the_calling_thread(self, monkeypatch,
+                                                                 threads):
+        # BLAS threads of its own would contend with the helper lane
+        monkeypatch.setattr(T, "_blas_threads", lambda: threads)
+        monkeypatch.setattr(T, "_LANE1", [None])
+        seen = []
+        T.run_lanes(lambda lane, i: seen.append((lane, threading.get_ident())), 6)
+        assert seen == [(0, threading.get_ident())] * 6
+        assert T._usable_cpus() == 1 and T._LANE1 == [None]
+
+    @pytest.mark.parametrize("threads", [1, None], ids=["one", "unknown"])
+    def test_one_or_unknown_blas_thread_leaves_the_cpus_to_the_lanes(self, monkeypatch,
+                                                                     threads):
+        monkeypatch.setattr(T, "_blas_threads", lambda: threads)
+        assert T._usable_cpus() == len(os.sched_getaffinity(0))
+
+    def test_blas_threads_are_read_from_numpys_openblas(self):
+        # where the query exists, it reports OPENBLAS_NUM_THREADS
+        code = "import samb.tensor as T; print(T._blas_threads())"
+        seen = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(sys.path))
+            seen.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                       capture_output=True, text=True).stdout.strip())
+        assert seen in (["1", "2"], ["None", "None"])
+
+    def test_no_proc_maps_means_no_query(self, monkeypatch):
+        def no_file(*args, **kwargs):
+            raise FileNotFoundError("/proc/self/maps")
+
+        monkeypatch.setattr("builtins.open", no_file)
+        assert T._find_blas_threads.__wrapped__()() is None
 
     def test_the_helper_lane_keeps_the_callers_errstate(self, monkeypatch):
         # each lane overflows once; under the caller's errstate neither warns
