@@ -323,16 +323,17 @@ def masked_attention(tokens: Tensor, weights: AttentionWeights, n_heads: int,
     The node keeps the head splits of q, k and v, the kernel's buffers, row
     statistics and the bands' values as views (``_attend``), the merged
     attention output that the output projection reads and, with
-    ``prenorm``, the layer norm's ``xhat`` and ``inv``; not the [B, T, d]
-    projections, the layer norm's output or the attention output before the
-    residual add.  Its backward runs the steps of the backward walk over the
-    composition (``layer_norm``), ``linear`` (q, k, v), ``narrow`` (q rows),
-    kernel, ``linear`` (output), (``narrow`` of the residual rows, ``add``):
-    the output projection, the kernel, the q-row narrow's zero padding, then
-    v, k and q, whose gradients it adds in place as ``(v + k) + q``; with
-    ``prenorm``, it recomputes the layer norm's output for the weight
-    gradients, runs the layer norm's backward and adds its gradient to the
-    residual's (zero-padded to every row).  Output and gradients are
+    ``prenorm``, the layer norm's [B, T, 1] ``mu`` and ``inv``; not the
+    [B, T, d] projections, the layer norm's ``xhat`` or output, or the
+    attention output before the residual add.  Its backward runs the steps
+    of the backward walk over the composition (``layer_norm``), ``linear``
+    (q, k, v), ``narrow`` (q rows), kernel, ``linear`` (output), (``narrow``
+    of the residual rows, ``add``): the output projection, the kernel, the
+    q-row narrow's zero padding, then v, k and q, whose gradients it adds in
+    place as ``(v + k) + q``; with ``prenorm``, it rebuilds ``xhat`` from the
+    tokens (``T._xhat``) and the layer norm's output from it for the weight
+    gradients, then ``xhat`` again for the layer norm's backward, and adds
+    that gradient to the residual's (zero-padded to every row).  Output and gradients are
     bit-identical to the composition's
     (``tests/helpers.py::unfused_masked_attention`` and
     ``unfused_attention_branch``) when the tokens feed no later node.
@@ -346,10 +347,9 @@ def masked_attention(tokens: Tensor, weights: AttentionWeights, n_heads: int,
     w = weights
     gamma, beta = prenorm or (None, None)
     if prenorm is None:
-        x, xhat, inv = tokens.data, None, None
+        x, mu, inv = tokens.data, None, None
     else:
-        xhat, inv = T._normalize(tokens.data, gamma, beta, "attention")
-        x = T._scale_shift(xhat, gamma, beta)
+        x, mu, inv = T._normalize(tokens.data, gamma, beta, "attention")
     q = T._affine(x, w.wq, w.bq, "attention")
     k = T._affine(x, w.wk, w.bk, "attention")
     v = T._affine(x, w.wv, w.bv, "attention")
@@ -373,8 +373,9 @@ def masked_attention(tokens: Tensor, weights: AttentionWeights, n_heads: int,
         gq, gk, gv = attend_backward(gm)
         del gm
         gq = pad(gq)
-        x = tokens.data if xhat is None else T._scale_shift(xhat, gamma, beta)
-        need_h = tokens.requires_grad or xhat is not None
+        x = (tokens.data if prenorm is None
+             else T._scale_shift(T._xhat(tokens.data, mu, inv), gamma, beta))
+        need_h = tokens.requires_grad or prenorm is not None
         gx, gwv, gbv = T._affine_grads(x, w.wv, w.bv, gv, need_h)
         gx_k, gwk, gbk = T._affine_grads(x, w.wk, w.bk, gk, need_h)
         if need_h:
@@ -385,9 +386,9 @@ def masked_attention(tokens: Tensor, weights: AttentionWeights, n_heads: int,
             gx += gx_q
         del x, gq, gx_q
         grads = gwq, gbq, gwk, gbk, gwv, gbv, gwo, gbo
-        if xhat is None:
+        if prenorm is None:
             return (gx, *grads)
-        gx, ggamma, gbeta = T._layer_norm_grads(xhat, inv, gamma, gx)
+        gx, ggamma, gbeta = T._layer_norm_grads(T._xhat(tokens.data, mu, inv), inv, gamma, gx)
         return (pad(g) + gx if tokens.requires_grad else None, ggamma, gbeta, *grads)
 
     return T.custom_op(out, (tokens, *(prenorm or ()), w.wq, w.bq, w.wk, w.bk,
@@ -494,7 +495,7 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
             block += values if len(values) == 1 else values[c[0]]
         return y
 
-    out = np.empty((b, n_heads, tq, dh))
+    out = split(np.empty((b, tq, d)))            # so that merge(out) is a view
 
     def probs(lane: int, i: int):
         c = chunks[i]
@@ -515,7 +516,9 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
 
     def backward(g):
         g = split(g)
-        dq, dkt, dv = np.empty_like(qh), np.empty_like(kt), np.empty_like(vh)
+        # dq and dv are written through head-split views of [B, t, d] buffers,
+        # which ``merge`` then views back; dk^T's columns would not reach BLAS
+        dq, dkt, dv = split(np.empty((b, tq, d))), np.empty_like(kt), split(np.empty((b, tk, d)))
         scratch = [(np.empty(chunk_shape), np.empty(chunk_shape),     # per lane: dP,
                     np.empty(chunk_shape[:-1] + (1,))) for _ in bufs]  # p * y, row dot
 

@@ -152,23 +152,24 @@ def mlp_branch(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
                w2: Tensor, b2: Tensor) -> Tensor:
     """The pre-norm MLP residual branch ``x + mlp(layer_norm(x))`` as one node.
 
-    The node keeps the layer norm's ``xhat`` and ``inv`` and the MLP's
-    pre-activation and GELU cdf; its backward recomputes the layer norm's
-    output and the GELU output with the forward's numpy operations.  It
-    adds the residual gradient and the layer norm's in that order, as the
-    backward walk over the composition ``layer_norm``, ``mlp``, ``add`` does
+    The node keeps the layer norm's [B, T, 1] ``mu`` and ``inv`` and the
+    MLP's GELU cdf (``T._mlp_forward``).  Its backward rebuilds the layer
+    norm's ``xhat`` from ``x`` (twice, so that none is held through the
+    MLP's backward), the layer norm's output and the MLP's pre-activation,
+    with the forward's numpy operations.  It adds the residual gradient and
+    the layer norm's in that order, as the backward walk over the
+    composition ``layer_norm``, ``mlp``, ``add`` does
     (``tests/helpers.py::unfused_mlp_branch``), so output and gradients are
     bit-identical to it.
     """
-    xhat, inv = T._normalize(x.data, gamma, beta, "mlp")
-    out, a, cdf = T._mlp_forward(T._scale_shift(xhat, gamma, beta), w1, b1, w2, b2, "mlp")
+    h, mu, inv = T._normalize(x.data, gamma, beta, "mlp")
+    out, cdf = T._mlp_forward(h, w1, b1, w2, b2, "mlp")
     out += x.data                                # the residual
 
     def backward(g):
-        ga, gw2, gb2 = T._mlp_hidden_grads(a, cdf, w2, b2, g)
-        gh, gw1, gb1 = T._affine_grads(T._scale_shift(xhat, gamma, beta), w1, b1, ga, True)
-        del ga
-        gx, ggamma, gbeta = T._layer_norm_grads(xhat, inv, gamma, gh)
+        gh, gw1, gb1, gw2, gb2 = T._mlp_grads(
+            T._scale_shift(T._xhat(x.data, mu, inv), gamma, beta), cdf, w1, b1, w2, b2, g, True)
+        gx, ggamma, gbeta = T._layer_norm_grads(T._xhat(x.data, mu, inv), inv, gamma, gh)
         return g + gx, ggamma, gbeta, gw1, gb1, gw2, gb2
 
     return T.custom_op(out, (x, gamma, beta, w1, b1, w2, b2), backward)

@@ -125,7 +125,15 @@ def _find_blas_threads() -> Callable[[], Optional[int]]:
     """The thread-count query of the OpenBLAS this process has mapped (numpy's
     bundled library), found on first use as ``perfbench/worker.py``'s
     ``blas_threads`` finds it; where there is none, a query that answers
-    None."""
+    None.
+
+    Where neither ``OPENBLAS_NUM_THREADS`` nor ``OMP_NUM_THREADS`` is set, it
+    first sets the library to one thread through the matching setter, if it
+    has one: BLAS's own threads contend with the lanes, and a 12 + 12-iteration
+    64 px samb ``samb train`` at B = 8 took a median 1.73 s with OpenBLAS's
+    default of 2 threads and 1.37 s with one (2-vCPU x86_64 guest, six
+    alternating pairs).  A count set in the environment stays.
+    """
     try:
         with open("/proc/self/maps") as f:
             libs = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
@@ -141,6 +149,11 @@ def _find_blas_threads() -> Callable[[], Optional[int]]:
             query = getattr(handle, name, None)
             if query is not None:
                 query.argtypes, query.restype = (), ctypes.c_int
+                setter = getattr(handle, name.replace("_get_", "_set_"), None)
+                if setter is not None and not {"OPENBLAS_NUM_THREADS",
+                                               "OMP_NUM_THREADS"} & os.environ.keys():
+                    setter.argtypes, setter.restype = (ctypes.c_int,), None
+                    setter(1)
                 return query
     return lambda: None
 
@@ -442,10 +455,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), backward)
 
 
-def _affine(x: np.ndarray, w: Tensor, b: Tensor, op: str) -> np.ndarray:
-    """``x @ w + b`` for [d_in, d_out] ``w`` and [d_out] ``b``."""
+def _check_affine(w: Tensor, b: Tensor, op: str) -> None:
     if w.ndim != 2 or b.shape != (w.shape[1],):
         raise DimensionError(f"{op}: weight {w.shape} and bias {b.shape} do not match")
+
+
+def _affine(x: np.ndarray, w: Tensor, b: Tensor, op: str) -> np.ndarray:
+    """``x @ w + b`` for [d_in, d_out] ``w`` and [d_out] ``b``."""
+    _check_affine(w, b, op)
     y = counted_matmul(x, w.data)
     y += b.data
     return y
@@ -474,44 +491,102 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def _mlp_forward(x: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
-                 op: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(output, hidden pre-activation, its GELU cdf) of
-    ``gelu(x @ w1 + b1) @ w2 + b2``; the GELU output is not kept."""
-    a = _affine(x, w1, b1, op)
-    cdf, h = _gelu_forward(a)
-    return _affine(h, w2, b2, op), a, cdf
+                 op: str) -> tuple[np.ndarray, np.ndarray]:
+    """(output, GELU cdf of the hidden pre-activation) of
+    ``gelu(x @ w1 + b1) @ w2 + b2``; neither the pre-activation nor the
+    GELU output is kept.
+
+    Runs in pieces of whole sequences that the lanes share
+    (``_sequence_pieces``), each lane in one reused scratch piece, in which
+    the pre-activation becomes the GELU output in place.  Per sequence numpy
+    makes the BLAS calls it made over the whole array, and the elementwise
+    steps round as ``0.5 * (1.0 + erf(a / sqrt 2))`` and ``a * cdf`` do, so
+    every bit is that of the plain expressions.  Below ``_CHUNK_ELEMS``
+    elements there is one piece: the whole array.
+    """
+    _check_affine(w1, b1, op)
+    _check_affine(w2, b2, op)
+    if x.ndim < 2 or x.shape[-1] != w1.shape[0] or w1.shape[1] != w2.shape[0]:
+        raise DimensionError(f"{op}: input {x.shape} and weights {w1.shape}, {w2.shape} "
+                             "do not chain")
+    cdf = np.empty(x.shape[:-1] + (w1.shape[1],))
+    out = np.empty(x.shape[:-1] + (w2.shape[1],))
+    pieces = _sequence_pieces(cdf)
+    scratch = [np.empty_like(cdf[pieces[0]]) for _ in pieces[:2]]
+
+    def part(lane: int, i: int):
+        s = pieces[i]
+        a = scratch[lane][:len(cdf[s])]
+        np.matmul(x[s], w1.data, out=a)
+        a += b1.data
+        a *= _gelu_cdf(a, cdf[s])               # the GELU output
+        y = np.matmul(a, w2.data, out=out[s])
+        y += b2.data
+
+    run_lanes(part, len(pieces))
+    # the lanes multiply with np.matmul; the count is this thread's alone
+    count_matmul_flops(x.shape, w1.shape)
+    count_matmul_flops(cdf.shape, w2.shape)
+    return out, cdf
 
 
-def _mlp_hidden_grads(a: np.ndarray, cdf: np.ndarray, w2: Tensor, b2: Tensor,
-                      g: np.ndarray):
-    """Gradients of ``gelu(a) @ w2 + b2`` for the pre-activation ``a``, w2 and
-    b2.  The only new array of a's size is ``g @ w2^T``, which becomes a's
-    gradient in place; the GELU output is recomputed piece by piece
-    (``_gelu_backward``)."""
-    ga = np.matmul(g, w2.data.T)
-    products = (np.empty(a.shape[:-2] + (a.shape[-1], g.shape[-1]))
-                if w2.requires_grad else None)
-    _gelu_backward(a, cdf, ga, g, products)
-    gw2 = _reduce_to(products, w2.shape) if products is not None else None
+def _mlp_grads(x: np.ndarray, cdf: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor,
+               b2: Tensor, g: np.ndarray, need_x: bool):
+    """Gradients of ``gelu(x @ w1 + b1) @ w2 + b2`` for x (if ``need_x``),
+    w1, b1, w2 and b2; none for a weight or bias that does not require one.
+
+    The one new array of the hidden size becomes the pre-activation's
+    gradient.  Piece by piece (``_mlp_forward``'s pieces and lanes) it first
+    holds the pre-activation, recomputed with the forward's operations (and
+    left out of the FLOP count), from which one scratch piece per lane gets
+    the GELU output ``a * cdf`` for w2's per-sequence products ``h^T g`` and
+    then the GELU's derivative ``cdf + a * pdf(a)``; then ``g @ w2^T``,
+    multiplied in place by that derivative, and w1's products ``x^T ga``.
+    The bits are those of the backward walk over ``linear``, ``gelu`` and
+    ``linear``.
+    """
+    pieces = _sequence_pieces(cdf)
+    scratch = [np.empty_like(cdf[pieces[0]]) for _ in pieces[:2]]
+    ga = np.empty_like(cdf)
+    products1 = np.empty(x.shape[:-2] + w1.shape) if w1.requires_grad else None
+    products2 = np.empty(x.shape[:-2] + w2.shape) if w2.requires_grad else None
+
+    def part(lane: int, i: int):
+        s = pieces[i]
+        a, c, xs = ga[s], cdf[s], x[s]
+        np.matmul(xs, w1.data, out=a)
+        a += b1.data                            # the pre-activation
+        y = scratch[lane][:len(a)]
+        if products2 is not None:
+            np.multiply(a, c, out=y)            # the GELU output
+            np.matmul(np.swapaxes(y, -1, -2), g[s], out=products2[s])
+        _gelu_slope(a, c, y)
+        np.matmul(g[s], w2.data.T, out=a)
+        a *= y                                  # the pre-activation's gradient
+        if products1 is not None:
+            np.matmul(np.swapaxes(xs, -1, -2), a, out=products1[s])
+
+    run_lanes(part, len(pieces))
+    del scratch
+    gx = np.matmul(ga, w1.data.T) if need_x else None
+    gb1 = _reduce_to(ga, b1.shape) if b1.requires_grad else None
+    del ga
+    gw1 = _reduce_to(products1, w1.shape) if products1 is not None else None
+    gw2 = _reduce_to(products2, w2.shape) if products2 is not None else None
     gb2 = _reduce_to(g, b2.shape) if b2.requires_grad else None
-    return ga, gw2, gb2
+    return gx, gw1, gb1, gw2, gb2
 
 
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """``linear(gelu(linear(x, w1, b1)), w2, b2)`` as one node.
 
-    It keeps the hidden pre-activation and its GELU cdf and runs the three
+    It keeps only the hidden pre-activation's GELU cdf and runs the three
     nodes' numpy operations in their order, so output and gradients are
     bit-identical to the composition.
     """
-    out, a, cdf = _mlp_forward(x.data, w1, b1, w2, b2, "mlp")
-
-    def backward(g):
-        ga, gw2, gb2 = _mlp_hidden_grads(a, cdf, w2, b2, g)
-        gx, gw1, gb1 = _affine_grads(x.data, w1, b1, ga, x.requires_grad)
-        return gx, gw1, gb1, gw2, gb2
-
-    return _record(Tensor(out), (x, w1, b1, w2, b2), backward)
+    out, cdf = _mlp_forward(x.data, w1, b1, w2, b2, "mlp")
+    return _record(Tensor(out), (x, w1, b1, w2, b2),
+                   lambda g: _mlp_grads(x.data, cdf, w1, b1, w2, b2, g, x.requires_grad))
 
 
 # ---------------------------------------------------------------------------
@@ -597,91 +672,70 @@ def sigmoid(a: Tensor) -> Tensor:
     return _record(out, (a,), lambda g: (g * y * (1.0 - y),))
 
 
-def _row_halves(x: np.ndarray) -> list:
-    """Indices that split ``x`` into two halves along axis 0 for two lanes,
-    or ``[...]`` (all of it) below ``_CHUNK_ELEMS`` elements or 2 rows."""
-    if x.ndim == 0 or x.shape[0] < 2 or x.size < _CHUNK_ELEMS:
-        return [...]
-    half = x.shape[0] // 2
-    return [slice(0, half), slice(half, None)]
-
-
-def _gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(cdf, x * cdf) of the exact erf GELU, not the tanh approximation.
-
-    The in-place steps round as ``0.5 * (1.0 + erf(x / sqrt 2))`` does, and
-    elementwise ops give each element the same bits on either lane.
-    """
-    cdf, h = np.empty_like(x), np.empty_like(x)
-    parts = _row_halves(x)
-
-    def part(lane: int, i: int):
-        s = parts[i]
-        c = np.multiply(x[s], _INV_SQRT2, out=cdf[s])
-        erf(c, out=c)
-        c += 1.0
-        c *= 0.5
-        np.multiply(x[s], c, out=h[s])
-
-    run_lanes(part, len(parts))
-    return cdf, h
-
-
 def _sequence_pieces(x: np.ndarray) -> list:
     """Slices of whole sequences (axis 0) of a [B, ..., d] ``x`` for the
     lanes, each of at most ``_CHUNK_ELEMS // 2`` elements or one sequence;
-    all of ``x`` (``[...]``) below ``_CHUNK_ELEMS`` elements, as
-    ``_row_halves`` keeps it, or when ``x`` is not [B, ..., d].  At 64 px
-    (B = 16, [260, 64] per sequence) 1 MiB pieces left an MLP backward's peak
-    at 4.1 MB, pieces of half that at 3.4 MB: there the peak moves past the
-    GELU."""
+    all of ``x`` (``[...]``) below ``_CHUNK_ELEMS`` elements, where a
+    handoff to the second lane is not worth it, or when ``x`` is not
+    [B, ..., d].  At 64 px (B = 16, [260, 64] per sequence, two lanes) 1 MiB
+    pieces left an MLP branch's forward and backward peaks at 5.3 and
+    4.9 MB, pieces of half that at 4.2 and 3.9 MB."""
     if x.ndim < 3 or x.size < _CHUNK_ELEMS:
         return [...]
     per = max(1, _CHUNK_ELEMS // 2 // math.prod(x.shape[1:]))
     return [slice(i, min(i + per, x.shape[0])) for i in range(0, x.shape[0], per)]
 
 
-def _gelu_backward(x: np.ndarray, cdf: np.ndarray, gx: np.ndarray,
-                   g: Optional[np.ndarray] = None,
-                   products: Optional[np.ndarray] = None) -> np.ndarray:
-    """Multiply ``gx``, the gradient of the exact GELU's output at ``x``, in
-    place by the GELU's derivative ``cdf + x * pdf(x)``, and return it.
+def _gelu_cdf(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out = 0.5 * (1.0 + erf(a / sqrt 2))``, the cdf of the exact erf
+    GELU (not the tanh approximation), in steps that round as that
+    expression does; returns ``out``."""
+    np.multiply(a, _INV_SQRT2, out=out)
+    erf(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
-    With ``products``, the call also writes there the products
-    ``h^T @ g`` per sequence of the GELU output ``h`` and the gradient ``g``
-    of ``h @ w``: w's gradient before its sum over the sequences.  ``h`` is
-    recomputed as ``x * cdf``, the bits the forward wrote.  The work runs in
-    pieces of whole sequences (``_sequence_pieces``) that the lanes share,
-    each lane in one reused scratch piece, so nothing else of ``x``'s size
-    is allocated; per sequence, numpy's stacked product makes the BLAS call
-    it made over the whole array, and IEEE multiplication commutes, so every
-    bit is that of the plain expressions.
-    """
-    pieces = _sequence_pieces(x)
-    scratch = [np.empty_like(x[pieces[0]]) for _ in pieces[:2]]
 
-    def part(lane: int, i: int):
-        s = pieces[i]
-        xs = x[s]
-        y = scratch[lane] if len(pieces) == 1 else scratch[lane][:len(xs)]
-        if products is not None:
-            np.multiply(xs, cdf[s], out=y)
-            np.matmul(np.swapaxes(y, -1, -2), g[s], out=products[s])
-        np.multiply(xs, -0.5, out=y)
-        y *= xs
-        np.exp(y, out=y)
-        y *= _INV_SQRT2PI                       # pdf
-        y *= xs
-        y += cdf[s]
-        np.multiply(gx[s], y, out=gx[s])
-
-    run_lanes(part, len(pieces))
-    return gx
+def _gelu_slope(a: np.ndarray, cdf: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out = cdf + a * pdf(a)``, the exact GELU's derivative at ``a``, in
+    steps that round as ``exp(a * -0.5 * a) * (1 / sqrt(2 pi)) * a + cdf``
+    does; returns ``out``."""
+    np.multiply(a, -0.5, out=out)
+    out *= a
+    np.exp(out, out=out)
+    out *= _INV_SQRT2PI                         # pdf
+    out *= a
+    out += cdf
+    return out
 
 
 def gelu(a: Tensor) -> Tensor:
-    cdf, y = _gelu_forward(a.data)
-    return _record(Tensor(y), (a,), lambda g: (_gelu_backward(a.data, cdf, g.copy()),))
+    """The exact erf GELU ``a * cdf(a)``, elementwise, in the pieces of
+    ``_sequence_pieces`` that the lanes share; each element gets the same
+    bits on either lane."""
+    x = a.data
+    cdf, y = np.empty_like(x), np.empty_like(x)
+    pieces = _sequence_pieces(x)
+
+    def forward(lane: int, i: int):
+        s = pieces[i]
+        np.multiply(x[s], _gelu_cdf(x[s], cdf[s]), out=y[s])
+
+    run_lanes(forward, len(pieces))
+
+    def backward(g):
+        gx = np.empty_like(x)
+
+        def part(lane: int, i: int):
+            s = pieces[i]
+            _gelu_slope(x[s], cdf[s], gx[s])
+            gx[s] *= g[s]
+
+        run_lanes(part, len(pieces))
+        return (gx,)
+
+    return _record(Tensor(y), (a,), backward)
 
 
 def log(a: Tensor) -> Tensor:
@@ -723,9 +777,11 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 
 def _normalize(x: np.ndarray, gamma: Tensor, beta: Tensor,
-               op: str) -> tuple[np.ndarray, np.ndarray]:
-    """(xhat, inv) of the layer norm of ``x`` over its last axis: the
-    normalised input and the [..., 1] reciprocal standard deviation.
+               op: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(y, mu, inv) of the layer norm of ``x`` over its last axis: its
+    output ``gamma * xhat + beta`` and the [..., 1] mean and reciprocal
+    standard deviation, from which ``_xhat`` rebuilds the normalised input
+    ``xhat`` with the bits it has here.
 
     Means are ``np.add.reduce`` then ``/= d``, which is what ``ndarray.mean``
     computes; with the in-place steps the bits are those of the plain
@@ -745,15 +801,23 @@ def _normalize(x: np.ndarray, gamma: Tensor, beta: Tensor,
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     xhat *= inv
-    return xhat, inv
+    return _scale_shift(xhat, gamma, beta), mu, inv
+
+
+def _xhat(x: np.ndarray, mu: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """The layer norm's ``xhat`` of ``x``, in a new array, from the ``mu``
+    and ``inv`` of ``_normalize``, by its own two operations."""
+    xhat = x - mu
+    xhat *= inv
+    return xhat
 
 
 def _scale_shift(xhat: np.ndarray, gamma: Tensor, beta: Tensor) -> np.ndarray:
-    """The layer norm's output ``gamma * xhat + beta``, in a new array; a
-    backward that recomputes it gets the forward's bits."""
-    y = np.multiply(gamma.data, xhat)
-    y += beta.data
-    return y
+    """The layer norm's output ``gamma * xhat + beta``, written over ``xhat``,
+    which it returns; a backward that rebuilds it gets the forward's bits."""
+    np.multiply(gamma.data, xhat, out=xhat)
+    xhat += beta.data
+    return xhat
 
 
 def _layer_norm_grads(xhat: np.ndarray, inv: np.ndarray, gamma: Tensor, g: np.ndarray):
@@ -783,10 +847,11 @@ def _layer_norm_grads(xhat: np.ndarray, inv: np.ndarray, gamma: Tensor, g: np.nd
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize over the last axis, then affine-transform, as one node that
-    keeps ``xhat`` and ``inv``."""
-    xhat, inv = _normalize(x.data, gamma, beta, "layer_norm")
-    return _record(Tensor(_scale_shift(xhat, gamma, beta)), (x, gamma, beta),
-                   lambda g: _layer_norm_grads(xhat, inv, gamma, g))
+    keeps the [..., 1] ``mu`` and ``inv``; its backward rebuilds ``xhat``
+    from its input (``_xhat``)."""
+    y, mu, inv = _normalize(x.data, gamma, beta, "layer_norm")
+    return _record(Tensor(y), (x, gamma, beta),
+                   lambda g: _layer_norm_grads(_xhat(x.data, mu, inv), inv, gamma, g))
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:

@@ -207,16 +207,23 @@ def unfused_fusion_head(x, query, n: int):
     return T.sum_axis(T.reshape(weights, (b, n, 1)) * xg, axis=1), weights
 
 
+def unfused_normalize(x: np.ndarray, eps: float = 1e-6):
+    """(xhat, inv) of the layer norm of ``x`` over its last axis, as plain
+    numpy expressions."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    return xc * inv, inv
+
+
 def unfused_layer_norm(x, gamma, beta, eps: float = 1e-6):
     """``T.layer_norm`` as it was before it ran in place: ``mean``,
     ``sqrt`` and the affine map as plain numpy expressions, each a new
-    array.  The in-place op must match it bit for bit."""
+    array (``unfused_normalize``).  The in-place op must match it bit for
+    bit."""
     d = x.shape[-1]
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
+    xhat, inv = unfused_normalize(x.data, eps)
 
     def backward(g):
         ggamma = (g * xhat).reshape(-1, d).sum(axis=0)

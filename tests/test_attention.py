@@ -552,7 +552,7 @@ class TestScoreChunks:
 
 
 class TestLanes:
-    """``T.run_lanes`` shares the chunks, and the halves of a large GELU,
+    """``T.run_lanes`` shares the chunks, and the pieces of a large MLP,
     between the calling thread and one helper thread that runs numpy only.
     Here a B=4 batch of T=12 runs as four chunks on two lanes."""
 

@@ -11,8 +11,8 @@ from samb.errors import ConfigError, ContractError, DegenerateMaskError, Numeric
 from samb.model import ModelConfig, VitSamb, fusion_head, mlp_branch
 
 from helpers import (closure_arrays, finite_diff_grad, rel_err, unfused_attention_branch,
-                     unfused_embed, unfused_fusion_head, unfused_mlp_branch, unpruned_forward,
-                     use_lanes)
+                     unfused_embed, unfused_fusion_head, unfused_layer_norm, unfused_mlp_branch,
+                     unfused_normalize, unpruned_forward, use_lanes)
 
 
 @pytest.fixture(autouse=True)
@@ -193,10 +193,10 @@ class TestBatchInvariance:
             model.forward(np.zeros((4, 3, 16, 16)), split=split)
 
 
-def node_and_composition(build, params, c, split):
-    """The output and every parameter gradient of ``sum(build() * c)``, once
-    per builder in ``build``, each recorded under ``T.batch_split(split)``
-    unless ``split`` is None."""
+def node_and_composition(build, params, c, split, backwards=1):
+    """The output and every parameter gradient of ``sum(build() * c)``, after
+    ``backwards`` backward passes, once per builder in ``build``, each
+    recorded under ``T.batch_split(split)`` unless ``split`` is None."""
     results = []
     for make in build:
         T.clear_tape()
@@ -208,7 +208,9 @@ def node_and_composition(build, params, c, split):
             with T.batch_split(split):
                 out = make()
         results.append([len(T.tape().nodes)] + [np.asarray(o.data) for o in out])
-        T.backward(T.sum_all(out[0] * c))
+        loss = T.sum_all(out[0] * c)
+        for _ in range(backwards):
+            T.backward(loss)
         results[-1] += [p.grad for p in params]
     return results
 
@@ -257,7 +259,8 @@ class TestBranchNodes:
     output and every gradient of the composition it replaces, in every
     mode, inside and outside ``T.batch_split``, on all rows or the head
     rows, on one lane or two, at desk size and at 64 px (T = 260, where the
-    attention scores run in chunks of one head and the GELU in two halves),
+    attention scores run in chunks of one head and the MLP in pieces of whole
+    sequences),
     and keeps only what its backward reads."""
 
     def attention_case(self, rng, mode, b, n, m, d):
@@ -320,7 +323,7 @@ class TestBranchNodes:
     @pytest.mark.parametrize("mode", list(MessagePassingMode))
     def test_mlp_branch_matches_its_composition(self, monkeypatch, mode, split, rows, lanes):
         use_lanes(monkeypatch, lanes)
-        monkeypatch.setattr(T, "_CHUNK_ELEMS", 64)      # the GELU runs in two halves
+        monkeypatch.setattr(T, "_CHUNK_ELEMS", 64)      # the MLP runs a piece per sequence
         layout = TokenLayout(mode, 3, 9)
         tq = (layout.head_rows.stop - layout.head_rows.start if rows == "head"
               else layout.total)
@@ -337,8 +340,37 @@ class TestBranchNodes:
                                                      rows, 8, 4, 256, 16, 2)
         if rows == "all":
             assert _score_chunks(8, 2, tq, t)[0] == (slice(0, 1), slice(0, 1))
-            assert len(T._row_halves(np.empty((8, t, 64)))) == 2
+            assert len(T._sequence_pieces(np.empty((8, t, 64)))) == 3
         self.assert_mlp_branch_matches(rng, split, 8, tq, 16)
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_64px_nodes_match_after_a_repeated_backward(self, monkeypatch, lanes):
+        # a paired 64 px step's block-0 shapes (B = 8 per domain): the MLP in
+        # pieces of whole sequences, the attention scores in chunks of one
+        # head; a second backward rebuilds xhat and the pre-activation again
+        use_lanes(monkeypatch, lanes)
+        rng = np.random.default_rng(69)
+        b, d = 16, 16
+        layout, mask, x, gamma, beta, w = self.attention_case(
+            rng, MessagePassingMode.SAMB, b, 4, 256, d)
+        mlp = self.mlp_case(rng, b, layout.total, d)
+        assert len(T._sequence_pieces(np.empty((b, layout.total, 4 * d)))) == 6
+        cases = [       # (builders, parameters, split); unfused_layer_norm sums all rows
+            ([lambda: (masked_attention(x, w, 2, mask, prenorm=(gamma, beta)),),
+              lambda: (unfused_attention_branch(x, gamma, beta, w, 2, mask),)],
+             [x, gamma, beta, *w.named("attn").values()], 8),
+            ([lambda: (mlp_branch(*mlp),), lambda: (unfused_mlp_branch(*mlp),)], mlp, 8),
+            ([lambda: (T.layer_norm(*mlp[:3]),), lambda: (unfused_layer_norm(*mlp[:3]),)],
+             mlp[:3], None),
+        ]
+        c = T.Tensor(rng.standard_normal((b, layout.total, d)))
+        for build, params, split in cases:
+            once, _ = node_and_composition(build, params, c, split)
+            node, composed = node_and_composition(build, params, c, split, backwards=2)
+            for got, want in zip(node[1:], composed[1:]):
+                assert np.array_equal(got, want)
+            for got, want in zip(once[2:], node[2:]):   # each backward adds the same
+                assert np.array_equal(2 * got, want)
 
     @pytest.mark.parametrize("rows", ["all", "head"])
     def test_attention_branch_keeps_no_norm_or_branch_output(self, rows):
@@ -353,13 +385,13 @@ class TestBranchNodes:
         node, plain_node = T.tape().nodes
         kept = closure_arrays(node.backward_fn)
         for a in kept:
-            for forward in (h.data, plain.data, out.data):
+            for forward in (unfused_normalize(x.data)[0], h.data, plain.data, out.data):
                 assert not np.shares_memory(a, forward)
                 assert a.shape != forward.shape or not np.array_equal(a, forward)
-        # what attention alone keeps, and the layer norm's xhat and inv
+        # what attention alone keeps, and the layer norm's mu and inv
         b, t, d = x.shape
         assert sorted(a.shape for a in kept) == sorted(
-            [a.shape for a in closure_arrays(plain_node.backward_fn)] + [(b, t, d), (b, t, 1)])
+            [a.shape for a in closure_arrays(plain_node.backward_fn)] + [(b, t, 1), (b, t, 1)])
 
     def test_mlp_branch_keeps_no_norm_branch_or_gelu_output(self):
         rng = np.random.default_rng(64)
@@ -373,13 +405,44 @@ class TestBranchNodes:
             branch = T.mlp(h, w1, b1, w2, b2).data
         kept = closure_arrays(node.backward_fn)
         for a in kept:
-            for forward in (h.data, gelu, branch, out.data):
+            for forward in (unfused_normalize(x.data)[0], h.data, hidden.data, gelu, branch,
+                            out.data):
                 assert not np.shares_memory(a, forward)
                 assert a.shape != forward.shape or not np.array_equal(a, forward)
-        # xhat, inv, the pre-activation and its GELU cdf
-        assert sorted(a.shape for a in kept) == [(4, 7, 1), (4, 7, 12), (4, 7, 48), (4, 7, 48)]
-        assert any(np.array_equal(a, hidden.data) for a in kept)
+        # mu, inv and the pre-activation's GELU cdf
+        assert sorted(a.shape for a in kept) == [(4, 7, 1), (4, 7, 1), (4, 7, 48)]
+        assert any(np.array_equal(a, T._gelu_cdf(hidden.data, np.empty(hidden.shape)))
+                   for a in kept)
 
+    @pytest.mark.parametrize("mode", [MessagePassingMode.SAMB, MessagePassingMode.SAMB_D,
+                                      MessagePassingMode.G_L_D])
+    def test_64px_block_nodes_keep_no_xhat_and_one_hidden_array(self, mode):
+        # the paired 64 px forward (B = 8 per domain): per block, the two
+        # branch nodes keep the layer norms' [B, T, 1] statistics and no
+        # [B, T, d] xhat; of the [B, T, 4d] arrays, only the MLP's GELU cdf
+        model = VitSamb(small_cfg(image_size=64, mode=mode, num_group_tokens=4,
+                                  gumbel=GumbelConfig()), np.random.default_rng(70))
+        imgs = np.random.default_rng(71).random((16, 3, 64, 64))
+        model.forward(imgs, train=True, rng=np.random.default_rng(72), split=8)
+        attention, mlp = ([node for node in T.tape().nodes
+                           if node.backward_fn.__qualname__.startswith(f"{kind}.")]
+                          for kind in ("masked_attention", "mlp_branch"))
+        assert len(attention) == len(mlp) == model.cfg.depth
+        d = model.cfg.embed_dim
+        for branches in zip(attention, mlp):
+            x = branches[1].inputs[0]                # [B, rows, d]: the attention output
+            xhats = [unfused_normalize(node.inputs[0].data)[0] for node in branches]
+            kept = [closure_arrays(node.backward_fn) for node in branches]
+            for a in kept[0] + kept[1]:
+                assert not any(a.shape == xhat.shape and np.array_equal(a, xhat)
+                               for xhat in xhats)
+            # the attention node's one [B, rows, d] array is its merged output
+            assert [sum(a.shape == x.shape for a in arrays) for arrays in kept] == [1, 0]
+            [cdf] = [a for a in kept[0] + kept[1] if a.shape == x.shape[:2] + (4 * d,)]
+            with T.no_grad():
+                a = T.linear(T.layer_norm(x, *branches[1].inputs[1:3]),
+                             *branches[1].inputs[3:5]).data
+            assert np.array_equal(cdf, T._gelu_cdf(a, np.empty_like(a)))
 
     @pytest.mark.parametrize("mode", [m for m in MessagePassingMode if m.dynamic])
     def test_64px_dynamic_nodes_keep_no_full_mask(self, mode):
@@ -397,11 +460,30 @@ class TestBranchNodes:
         assert (b, 256, 4) in kept or (b, 1, 256, 4) in kept or (b, 1, 4, 256) in kept
 
     @pytest.mark.parametrize("lanes", [1, 2])
+    def test_mlp_branch_forward_allocates_less_than_one_hidden_array_beyond_the_cdf(
+            self, monkeypatch, lanes):
+        # at the 64 px block-0 shape the pre-activation and the GELU output
+        # exist only a piece per lane at a time
+        use_lanes(monkeypatch, lanes)
+        b, t, d = 16, 260, 16
+        inputs = self.mlp_case(np.random.default_rng(67), b, t, d)
+        hidden = 8 * b * t * 4 * d
+        mlp_branch(*inputs)                      # the helper lane exists
+        T.clear_tape()
+        tracemalloc.start()
+        try:
+            mlp_branch(*inputs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hidden < peak < 2 * hidden        # the cdf, and less than one more
+
+    @pytest.mark.parametrize("lanes", [1, 2])
     def test_mlp_branch_backward_allocates_one_hidden_array(self, monkeypatch, lanes):
-        # at the 64 px block-0 shape, besides g @ w2^T (which becomes the
-        # pre-activation's gradient) the backward allocates less than one
-        # more [B, T, 4d] array: the GELU output and its derivative are
-        # recomputed in pieces, in place
+        # at the 64 px block-0 shape, besides the pre-activation's gradient
+        # (which first holds the recomputed pre-activation) the backward
+        # allocates less than one more [B, T, 4d] array: the GELU output and
+        # its derivative are recomputed in pieces, in place
         use_lanes(monkeypatch, lanes)
         b, t, d = 16, 260, 16
         inputs = self.mlp_case(np.random.default_rng(67), b, t, d)

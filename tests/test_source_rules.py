@@ -114,23 +114,24 @@ def test_benchmark_tracer_wiring_resolves(monkeypatch):
         tracer._lookup(owner, attr)
 
 
-def test_benchmark_tracer_sees_every_desk_train_layer(monkeypatch, tmp_path):
-    # desk-train's config at 2 + 2 steps on its tiny data, then an evaluate of
-    # the saved model, in-process under the benchmark's tracer: a call that
-    # bypasses a wrapped name, or a tape node without what the tracer reads
-    # (``output``, ``backward_fn``), fails here and not only in the benchmark
+def trace_tiny_train(monkeypatch, tmp_path, name: str, **tiny):
+    """Run workload ``name``'s config, with its smoke-test overrides and
+    ``tiny``, on its tiny data in-process under the benchmark's tracer, then
+    an evaluate of the saved model: a call that bypasses a wrapped name, or a
+    tape node without what the tracer reads (``output``, ``backward_fn``),
+    fails here and not only in the benchmark."""
     from samb import cli, data, trainer
     from samb.model import VitSamb
 
     tracer_mod = load_perfbench(monkeypatch, "tracer")
     workloads = load_perfbench(monkeypatch, "workloads")
-    w = workloads.WORKLOADS["desk-train"]
-    tiny = dict(w.tiny, iterations_1=2, iterations_2=2)
+    w = workloads.WORKLOADS[name]
+    tiny = dict(w.tiny, **tiny)
     data_dir = tmp_path / "data"
     data_dir.mkdir()
-    for name, ds in data.generate(data.SyntheticSpec(
+    for split, ds in data.generate(data.SyntheticSpec(
             seed=workloads.MODEL_SEED, **workloads.with_tiny(w.spec, tiny))).items():
-        ds.save(str(data_dir / f"{name}.sdsh"))
+        ds.save(str(data_dir / f"{split}.sdsh"))
     cfg_path = tmp_path / "train.cfg"
     cfg_path.write_text(workloads.config_text(workloads.with_tiny(w.config, tiny),
                                               str(data_dir)))
@@ -141,13 +142,24 @@ def test_benchmark_tracer_sees_every_desk_train_layer(monkeypatch, tmp_path):
         splits = cli.load_datasets(str(data_dir))
         cfg, _ = cli.train_config_from(cli.parse_config(cfg_path), splits["source_train"])
         model = VitSamb(cfg.model, np.random.default_rng(0))
-        model.load(str(tmp_path / "o" / "checkpoint_stage2.samb"))
+        model.load(str(max((tmp_path / "o").glob("checkpoint_stage*.samb"))))
         assert 0.0 <= trainer.evaluate(model, splits["target_eval"]) <= 1.0
     finally:
         tracer.uninstall()
     tracer.check_expected(w.layers)
     assert tracer.nodes_total > 0 and tracer.backward_nodes > 0
     assert tracer.peak_tape_bytes > 0 and tracer.flops > 0
+
+
+def test_benchmark_tracer_sees_every_desk_train_layer(monkeypatch, tmp_path):
+    # desk-train's config at 2 + 2 steps
+    trace_tiny_train(monkeypatch, tmp_path, "desk-train", iterations_1=2, iterations_2=2)
+
+
+def test_benchmark_tracer_sees_every_wide_train_layer(monkeypatch, tmp_path):
+    # wide-train's config at its own 64 px, where block 0's MLP runs in
+    # pieces of sequences and its attention in chunks of one head, on the lanes
+    trace_tiny_train(monkeypatch, tmp_path, "wide-train", image_size=64)
 
 
 def test_benchmark_worker_wiring_resolves():

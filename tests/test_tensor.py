@@ -295,9 +295,9 @@ class TestFusedLayerNormAndMlp:
 
     @pytest.mark.parametrize("op", ["mlp", "gelu"])
     def test_two_lanes_match_one_lane_bit_for_bit(self, monkeypatch, op):
-        # a [8, 260, 64] GELU activation, the 64 px block-0 one, is split in
-        # two halves along axis 0, one per lane
-        assert len(T._row_halves(np.empty((8, 260, 64)))) == 2
+        # a [8, 260, 64] GELU activation, the 64 px block-0 one of one domain,
+        # is cut into three pieces of whole sequences, which the lanes share
+        assert len(T._sequence_pieces(np.empty((8, 260, 64)))) == 3
         if op == "mlp":
             inputs, c = self.mlp_inputs((8, 260, 16))
         else:
@@ -422,15 +422,18 @@ class TestRunLanes:
         assert T._usable_cpus() == len(os.sched_getaffinity(0))
 
     def test_blas_threads_are_read_from_numpys_openblas(self):
-        # where the query exists, it reports OPENBLAS_NUM_THREADS
+        # where the query exists, it reports the count the environment sets
+        # (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS); with neither set, the
+        # first query sets one thread, where OpenBLAS would start one per CPU
         code = "import samb.tensor as T; print(T._blas_threads())"
-        seen = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(sys.path))
-            seen.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                                       capture_output=True, text=True).stdout.strip())
-        assert seen in (["1", "2"], ["None", "None"])
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        seen = [subprocess.run([sys.executable, "-c", code], env=dict(env, **threads),
+                               check=True, capture_output=True, text=True).stdout.strip()
+                for threads in ({"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"},
+                                {"OMP_NUM_THREADS": "2"}, {})]
+        assert seen in (["1", "2", "2", "1"], ["None"] * 4)
 
     def test_no_proc_maps_means_no_query(self, monkeypatch):
         def no_file(*args, **kwargs):
