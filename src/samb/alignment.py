@@ -56,19 +56,43 @@ class Discriminator:
         return list(self.named_params().values())
 
     def forward(self, feat: Tensor) -> Tensor:
-        out = T.sigmoid(T.mlp(feat, self.w1, self.b1, self.w2, self.b2))
-        return T.reshape(out, (feat.shape[0],))
+        """The [B] probabilities of [B, d] ``feat`` as one node, which keeps
+        the GELU cdf (``T._mlp_forward``) and the probabilities.  Output and
+        gradients are bit-identical to the composition ``linear``, ``gelu``,
+        ``linear``, ``sigmoid``, ``reshape``
+        (``tests/helpers.py::unfused_discriminator``)."""
+        params = self.w1, self.b1, self.w2, self.b2
+        z, cdf = T._mlp_forward(feat.data, *params, "discriminator")
+        p = T._sigmoid(z)
+
+        def backward(g):
+            gz = g.reshape(p.shape) * p * (1.0 - p)
+            return T._mlp_grads(feat.data, cdf, *params, gz, feat.requires_grad)
+
+        return T.custom_op(p.reshape(feat.shape[0]), (feat, *params), backward)
 
 
 _LOG_FLOOR = 1e-12
 
 
 def domain_loss(feat_s: Tensor, feat_t: Tensor, disc: Discriminator) -> Tensor:
-    """-E_s[log D(f_s)] - E_t[log(1 - D(f_t))], log arguments floored at 1e-12."""
+    """-E_s[log D(f_s)] - E_t[log(1 - D(f_t))], log arguments floored at
+    1e-12, as one node over the probabilities ``disc.forward`` gives.
+
+    Output and gradients are bit-identical to the composition ``clamp_min``,
+    ``log`` and ``mean_all`` per domain (after ``1 - p`` for the target), a
+    ``scale`` by -1 and a ``sub`` (``tests/helpers.py::unfused_domain_loss``).
+    """
     if feat_s.shape[0] == 0 or feat_t.shape[0] == 0:
         raise ContractError("domain_loss: empty batch")
-    p_s = disc.forward(feat_s)
-    p_t = disc.forward(feat_t)
-    loss_s = T.mean_all(T.log(T.clamp_min(p_s, _LOG_FLOOR)))
-    loss_t = T.mean_all(T.log(T.clamp_min(Tensor(1.0) - p_t, _LOG_FLOOR)))
-    return -loss_s - loss_t
+    p_s, p_t = disc.forward(feat_s), disc.forward(feat_t)
+    q_t = 1.0 - p_t.data
+    clamped_s, clamped_t = np.maximum(p_s.data, _LOG_FLOOR), np.maximum(q_t, _LOG_FLOOR)
+    loss = np.log(clamped_s).mean() * -1.0 - np.log(clamped_t).mean()
+
+    def backward(g):
+        gs = np.broadcast_to((g * -1.0) / p_s.size, p_s.shape) / clamped_s
+        gt = np.broadcast_to(-g / p_t.size, p_t.shape) / clamped_t
+        return gs * (p_s.data >= _LOG_FLOOR), -(gt * (q_t >= _LOG_FLOOR))
+
+    return T.custom_op(loss, (p_s, p_t), backward)

@@ -338,12 +338,13 @@ def masked_attention(tokens: Tensor, weights: AttentionWeights, n_heads: int,
     (``tests/helpers.py::unfused_masked_attention`` and
     ``unfused_attention_branch``) when the tokens feed no later node.
     """
-    b, t, d = tokens.shape
+    _, t, d = tokens.shape
     if d % n_heads != 0:
         raise ConfigError(f"embed dim {d} not divisible by {n_heads} heads")
     start, stop, step = rows.indices(t)
     if step != 1 or start >= stop:
         raise ContractError(f"attention: rows {rows} are not a non-empty contiguous slice")
+    q_rows = np.s_[:, start:stop]
     w = weights
     gamma, beta = prenorm or (None, None)
     if prenorm is None:
@@ -355,24 +356,17 @@ def masked_attention(tokens: Tensor, weights: AttentionWeights, n_heads: int,
     v = T._affine(x, w.wv, w.bv, "attention")
     mask = mask(q, k) if callable(mask) else mask
     bands = mask if isinstance(mask, list) else [(slice(None), slice(None), mask)]
-    merged, attend_backward = _attend(q[:, start:stop], k, v, n_heads,
+    merged, attend_backward = _attend(q[q_rows], k, v, n_heads,
                                       _score_bands(bands, tokens.shape, start, stop))
     out = T._affine(merged, w.wo, w.bo, "attention")
     if prenorm is not None:
-        out += tokens.data[:, start:stop]        # the residual
-
-    def pad(g: np.ndarray) -> np.ndarray:        # a row narrow's backward
-        if stop - start == t:
-            return g
-        full = np.zeros((b, t, d))
-        full[:, start:stop] = g
-        return full
+        out += tokens.data[q_rows]               # the residual
 
     def backward(g):
         gm, gwo, gbo = T._affine_grads(merged, w.wo, w.bo, g, True)
         gq, gk, gv = attend_backward(gm)
         del gm
-        gq = pad(gq)
+        gq = T._pad(gq, tokens.shape, q_rows)
         x = (tokens.data if prenorm is None
              else T._scale_shift(T._xhat(tokens.data, mu, inv), gamma, beta))
         need_h = tokens.requires_grad or prenorm is not None
@@ -388,8 +382,9 @@ def masked_attention(tokens: Tensor, weights: AttentionWeights, n_heads: int,
         grads = gwq, gbq, gwk, gbk, gwv, gbv, gwo, gbo
         if prenorm is None:
             return (gx, *grads)
-        gx, ggamma, gbeta = T._layer_norm_grads(T._xhat(tokens.data, mu, inv), inv, gamma, gx)
-        return (pad(g) + gx if tokens.requires_grad else None, ggamma, gbeta, *grads)
+        gx, ggamma, gbeta = T._layer_norm_grads(tokens.data, mu, inv, gamma, gx)
+        return (T._pad(g, tokens.shape, q_rows) + gx if tokens.requires_grad else None,
+                ggamma, gbeta, *grads)
 
     return T.custom_op(out, (tokens, *(prenorm or ()), w.wq, w.bq, w.wk, w.bk,
                              w.wv, w.bv, w.wo, w.bo), backward)

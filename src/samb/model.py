@@ -125,25 +125,17 @@ def fusion_head(x: Tensor, query: Tensor, n: int) -> tuple[Tensor, np.ndarray]:
     b, _, d = x.shape
     s = float(1.0 / np.sqrt(d))
     xg = np.ascontiguousarray(x.data[:, :n])                 # [B, N, d]
-    scores = T.counted_matmul(xg, query.data).reshape(b, n) * s
-    m = np.max(scores, axis=-1, keepdims=True)
-    if np.any(np.isneginf(m)):
-        raise DegenerateMaskError("softmax: a row is fully masked (all -inf)")
-    e = np.exp(scores - m)
-    weights = e / e.sum(axis=-1, keepdims=True)
+    weights = T._softmax(T.counted_matmul(xg, query.data).reshape(b, n) * s, -1)
     w3 = weights.reshape(b, n, 1)
 
     def backward(g):
         gm = np.broadcast_to(np.expand_dims(g, 1), (b, n, d)).copy()
         gw = (gm * xg).sum(axis=2, keepdims=True).reshape(b, n)
         gxg = gm * w3
-        gs = (weights * (gw - (gw * weights).sum(axis=-1, keepdims=True))) * s
-        gs = gs.reshape(b, n, 1)
+        gs = (T._softmax_grad(weights, gw, -1) * s).reshape(b, n, 1)
         gxg = gxg + np.matmul(gs, np.swapaxes(query.data, -1, -2))
         gq = T._reduce_to(np.matmul(np.swapaxes(xg, -1, -2), gs), query.shape)
-        gx = np.zeros_like(x.data)
-        gx[:, :n] = gxg
-        return gx, gq
+        return T._pad(gxg, x.shape, np.s_[:, :n]), gq
 
     return T.custom_op((w3 * xg).sum(axis=1), (x, query), backward), weights
 
@@ -158,7 +150,7 @@ def mlp_branch(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
     MLP's backward), the layer norm's output and the MLP's pre-activation,
     with the forward's numpy operations.  It adds the residual gradient and
     the layer norm's in that order, as the backward walk over the
-    composition ``layer_norm``, ``mlp``, ``add`` does
+    composition ``layer_norm``, ``linear``, ``gelu``, ``linear``, ``add`` does
     (``tests/helpers.py::unfused_mlp_branch``), so output and gradients are
     bit-identical to it.
     """
@@ -169,7 +161,7 @@ def mlp_branch(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
     def backward(g):
         gh, gw1, gb1, gw2, gb2 = T._mlp_grads(
             T._scale_shift(T._xhat(x.data, mu, inv), gamma, beta), cdf, w1, b1, w2, b2, g, True)
-        gx, ggamma, gbeta = T._layer_norm_grads(T._xhat(x.data, mu, inv), inv, gamma, gh)
+        gx, ggamma, gbeta = T._layer_norm_grads(x.data, mu, inv, gamma, gh)
         return g + gx, ggamma, gbeta, gw1, gb1, gw2, gb2
 
     return T.custom_op(out, (x, gamma, beta, w1, b1, w2, b2), backward)

@@ -315,16 +315,10 @@ class Tensor:
     def __add__(self, other):
         return add(self, _wrap(other))
 
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return scale(self, other)
         return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -577,18 +571,6 @@ def _mlp_grads(x: np.ndarray, cdf: np.ndarray, w1: Tensor, b1: Tensor, w2: Tenso
     return gx, gw1, gb1, gw2, gb2
 
 
-def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """``linear(gelu(linear(x, w1, b1)), w2, b2)`` as one node.
-
-    It keeps only the hidden pre-activation's GELU cdf and runs the three
-    nodes' numpy operations in their order, so output and gradients are
-    bit-identical to the composition.
-    """
-    out, cdf = _mlp_forward(x.data, w1, b1, w2, b2, "mlp")
-    return _record(Tensor(out), (x, w1, b1, w2, b2),
-                   lambda g: _mlp_grads(x.data, cdf, w1, b1, w2, b2, g, x.requires_grad))
-
-
 # ---------------------------------------------------------------------------
 # shape manipulation
 
@@ -620,14 +602,17 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     idx = [slice(None)] * a.ndim
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
-    out = Tensor(a.data[idx])
+    return _record(Tensor(a.data[idx]), (a,), lambda g: (_pad(g, a.shape, idx),))
 
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[idx] = g
-        return (full,)
 
-    return _record(out, (a,), backward)
+def _pad(g: np.ndarray, shape: tuple, idx) -> np.ndarray:
+    """The gradient of an array of ``shape`` from that of its slice ``idx``:
+    ``g`` in zeros elsewhere, or ``g`` itself when the slice is all of it."""
+    if g.shape == shape:
+        return g
+    full = np.zeros(shape)
+    full[idx] = g
+    return full
 
 
 def broadcast_to(a: Tensor, shape) -> Tensor:
@@ -665,11 +650,15 @@ def tanh(a: Tensor) -> Tensor:
     return _record(out, (a,), lambda g: (g * (1.0 - y * y),))
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic function of ``x``; ``exp`` sees only values <= 0."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    e = np.exp(-np.abs(a.data))
-    y = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    out = Tensor(y)
-    return _record(out, (a,), lambda g: (g * y * (1.0 - y),))
+    y = _sigmoid(a.data)
+    return _record(Tensor(y), (a,), lambda g: (g * y * (1.0 - y),))
 
 
 def _sequence_pieces(x: np.ndarray) -> list:
@@ -711,31 +700,11 @@ def _gelu_slope(a: np.ndarray, cdf: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def gelu(a: Tensor) -> Tensor:
-    """The exact erf GELU ``a * cdf(a)``, elementwise, in the pieces of
-    ``_sequence_pieces`` that the lanes share; each element gets the same
-    bits on either lane."""
+    """The exact erf GELU ``a * cdf(a)``, elementwise."""
     x = a.data
-    cdf, y = np.empty_like(x), np.empty_like(x)
-    pieces = _sequence_pieces(x)
-
-    def forward(lane: int, i: int):
-        s = pieces[i]
-        np.multiply(x[s], _gelu_cdf(x[s], cdf[s]), out=y[s])
-
-    run_lanes(forward, len(pieces))
-
-    def backward(g):
-        gx = np.empty_like(x)
-
-        def part(lane: int, i: int):
-            s = pieces[i]
-            _gelu_slope(x[s], cdf[s], gx[s])
-            gx[s] *= g[s]
-
-        run_lanes(part, len(pieces))
-        return (gx,)
-
-    return _record(Tensor(y), (a,), backward)
+    cdf = _gelu_cdf(x, np.empty_like(x))
+    return _record(Tensor(x * cdf), (a,),
+                   lambda g: (_gelu_slope(x, cdf, np.empty_like(x)) * g,))
 
 
 def log(a: Tensor) -> Tensor:
@@ -755,25 +724,26 @@ def clamp_min(a: Tensor, lo: float) -> Tensor:
     return _record(out, (a,), lambda g: (g * mask,))
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Max-subtracted softmax; -inf entries map to exactly 0.
-
-    Raises DegenerateMaskError if any row along ``axis`` is entirely -inf.
-    """
-    x = a.data
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    """Max-subtracted softmax of ``x`` along ``axis``; -inf entries map to
+    exactly 0.  Raises DegenerateMaskError if a row is entirely -inf."""
     m = np.max(x, axis=axis, keepdims=True)
     if np.any(np.isneginf(m)):
         raise DegenerateMaskError("softmax: a row is fully masked (all -inf)")
-    shifted = x - m
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(y)
+    e = np.exp(x - m)
+    return e / e.sum(axis=axis, keepdims=True)
 
-    def backward(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return (y * (g - dot),)
 
-    return _record(out, (a,), backward)
+def _softmax_grad(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    """The gradient of the softmax input, from its output ``y`` and the
+    output's gradient ``g``."""
+    return y * (g - (g * y).sum(axis=axis, keepdims=True))
+
+
+def softmax(a: Tensor, axis: int = -1) -> Tensor:
+    """``_softmax`` along ``axis`` as one node."""
+    y = _softmax(a.data, axis)
+    return _record(Tensor(y), (a,), lambda g: (_softmax_grad(y, g, axis),))
 
 
 def _normalize(x: np.ndarray, gamma: Tensor, beta: Tensor,
@@ -820,10 +790,13 @@ def _scale_shift(xhat: np.ndarray, gamma: Tensor, beta: Tensor) -> np.ndarray:
     return xhat
 
 
-def _layer_norm_grads(xhat: np.ndarray, inv: np.ndarray, gamma: Tensor, g: np.ndarray):
+def _layer_norm_grads(x: np.ndarray, mu: np.ndarray, inv: np.ndarray, gamma: Tensor,
+                      g: np.ndarray):
     """Gradients of ``gamma * xhat + beta`` for the layer norm's input, gamma
-    and beta.  The gamma and beta sums run per batch under a
-    ``batch_split``; only buffers of its own are written."""
+    and beta, with ``xhat`` rebuilt from ``x`` and the ``mu`` and ``inv`` of
+    ``_normalize`` (``_xhat``).  The gamma and beta sums run per batch under
+    a ``batch_split``; only buffers of its own are written."""
+    xhat = _xhat(x, mu, inv)
     d = xhat.shape[-1]
 
     def rows_sum(y: np.ndarray) -> np.ndarray:
@@ -848,10 +821,10 @@ def _layer_norm_grads(xhat: np.ndarray, inv: np.ndarray, gamma: Tensor, g: np.nd
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize over the last axis, then affine-transform, as one node that
     keeps the [..., 1] ``mu`` and ``inv``; its backward rebuilds ``xhat``
-    from its input (``_xhat``)."""
+    from its input."""
     y, mu, inv = _normalize(x.data, gamma, beta, "layer_norm")
     return _record(Tensor(y), (x, gamma, beta),
-                   lambda g: _layer_norm_grads(_xhat(x.data, mu, inv), inv, gamma, g))
+                   lambda g: _layer_norm_grads(x.data, mu, inv, gamma, g))
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:

@@ -159,8 +159,8 @@ def unfused_attention_branch(x, gamma, beta, w, n_heads: int, mask, rows: slice 
 
 def unfused_mlp_branch(x, gamma, beta, w1, b1, w2, b2):
     """``samb.model.mlp_branch`` as the nodes it replaces: ``layer_norm``,
-    ``mlp`` and the residual ``add``."""
-    return x + T.mlp(T.layer_norm(x, gamma, beta), w1, b1, w2, b2)
+    the MLP's ``linear``, ``gelu`` and ``linear``, and the residual ``add``."""
+    return x + unfused_mlp(T.layer_norm(x, gamma, beta), w1, b1, w2, b2)
 
 
 def closure_arrays(fn) -> list:
@@ -238,8 +238,36 @@ def unfused_layer_norm(x, gamma, beta, eps: float = 1e-6):
 
 
 def unfused_mlp(x, w1, b1, w2, b2):
-    """``T.mlp`` as its three nodes: ``linear``, ``gelu``, ``linear``."""
+    """The MLP ``gelu(x @ w1 + b1) @ w2 + b2`` as three nodes: ``linear``,
+    ``gelu``, ``linear``."""
     return T.linear(T.gelu(T.linear(x, w1, b1)), w2, b2)
+
+
+def mlp_node(x, w1, b1, w2, b2):
+    """The MLP body that ``mlp_branch`` and the discriminator share
+    (``T._mlp_forward`` and ``T._mlp_grads``) as a node of its own, which
+    must match ``unfused_mlp`` bit for bit."""
+    out, cdf = T._mlp_forward(x.data, w1, b1, w2, b2, "mlp")
+    return T.custom_op(out, (x, w1, b1, w2, b2), lambda g: T._mlp_grads(
+        x.data, cdf, w1, b1, w2, b2, g, x.requires_grad))
+
+
+def unfused_discriminator(disc, feat):
+    """``Discriminator.forward`` as the nodes it replaces: ``linear``,
+    ``gelu``, ``linear``, ``sigmoid`` and ``reshape`` to [B]."""
+    z = unfused_mlp(feat, disc.w1, disc.b1, disc.w2, disc.b2)
+    return T.reshape(T.sigmoid(z), (feat.shape[0],))
+
+
+def unfused_domain_loss(feat_s, feat_t, forward):
+    """``domain_loss`` as the nodes it replaces, over the probabilities
+    ``forward`` gives for each domain's features: ``clamp_min``, ``log`` and
+    ``mean_all`` per domain (after ``1 - p`` for the target), a ``scale`` by
+    -1 and a ``sub``."""
+    p_s, p_t = forward(feat_s), forward(feat_t)
+    loss_s = T.mean_all(T.log(T.clamp_min(p_s, 1e-12)))
+    loss_t = T.mean_all(T.log(T.clamp_min(T.sub(T.Tensor(1.0), p_t), 1e-12)))
+    return T.sub(T.scale(loss_s, -1.0), loss_t)
 
 
 def unpruned_forward(model, images, train: bool = False, rng=None):

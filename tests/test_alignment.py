@@ -8,6 +8,8 @@ from samb.alignment import Discriminator, GrlConfig, domain_loss, grl
 from samb.errors import ContractError
 from samb.tensor import Tensor
 
+from helpers import closure_arrays, unfused_discriminator, unfused_domain_loss
+
 
 @pytest.fixture(autouse=True)
 def fresh_tape():
@@ -177,3 +179,110 @@ class TestAdaObjective:
         ft2 = Tensor(ft_data.copy(), requires_grad=True)
         T.backward(domain_loss(fs2, ft2, disc))
         assert np.abs(reversed_grad + lam * fs2.grad).max() < 1e-12
+
+
+class _Saturated(Discriminator):
+    """sigmoid(1e3 * f[:, 0]) of features that need gradients: exactly 0 or
+    1 where |f[:, 0]| is large, so that the 1e-12 floor cuts the gradient."""
+
+    def __init__(self):
+        pass
+
+    def forward(self, feat):
+        logits = T.reshape(T.narrow(feat, 1, 0, 1), (feat.shape[0],)) * 1e3
+        return T.sigmoid(logits)
+
+
+class TestFusedNodes:
+    """The discriminator and the domain loss each record one node, whose
+    output and gradients have the bits of the composition they replace
+    (``unfused_discriminator`` and ``unfused_domain_loss``)."""
+
+    @staticmethod
+    def run(loss, tensors, backwards=1):
+        """The loss bytes, the node count and every gradient's bytes after
+        ``backwards`` backward passes; ``loss`` builds the graph."""
+        T.clear_tape()
+        for t in tensors:
+            t.zero_grad()
+        out = loss()
+        nodes = len(T.tape().nodes)
+        for _ in range(backwards):
+            T.backward(out)
+        return out.data.tobytes(), nodes, [None if t.grad is None else t.grad.tobytes()
+                                           for t in tensors]
+
+    def assert_matches(self, fs, ft, disc, nodes, backwards=1):
+        tensors = [fs, ft, *disc.params()]
+        fused = self.run(lambda: domain_loss(fs, ft, disc), tensors, backwards)
+        composed = self.run(lambda: unfused_domain_loss(
+            fs, ft, lambda f: unfused_discriminator(disc, f)), tensors, backwards)
+        assert fused[1] == nodes
+        assert (fused[0], fused[2]) == (composed[0], composed[2])
+        return fused[2]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_batches_match_the_composition(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        b_s, b_t, d = rng.integers(1, 9), rng.integers(1, 9), 8
+        disc = Discriminator(d, rng)
+        for p in disc.params():
+            p.data += rng.standard_normal(p.shape)
+        fs = Tensor(rng.standard_normal((b_s, d)) * 3, requires_grad=True)
+        ft = Tensor(rng.standard_normal((b_t, d)) * 3, requires_grad=True)
+        grads = self.assert_matches(fs, ft, disc, 3)      # two discriminators, one loss
+        assert None not in grads
+
+    def test_saturated_probabilities_on_both_sides(self):
+        # the floor cuts the gradient of the two large rows of each domain
+        fs = Tensor([[-1.0, 0.5], [1e-3, 0.0], [-2.0, 1.0]], requires_grad=True)
+        ft = Tensor([[1.0, 0.5], [-2e-3, 0.0], [3.0, 1.0]], requires_grad=True)
+        disc = _Saturated()
+        tensors = [fs, ft]
+        fused = self.run(lambda: domain_loss(fs, ft, disc), tensors)
+        composed = self.run(lambda: unfused_domain_loss(fs, ft, disc.forward), tensors)
+        assert fused == (composed[0], 9, composed[2])     # 4 nodes per domain, one loss
+        assert np.count_nonzero(fs.grad[:, 0]) == np.count_nonzero(ft.grad[:, 0]) == 1
+
+    def test_one_sample_batches(self):
+        rng = np.random.default_rng(7)
+        disc = Discriminator(4, rng)
+        fs = Tensor(rng.standard_normal((1, 4)), requires_grad=True)
+        ft = Tensor(rng.standard_normal((1, 4)), requires_grad=True)
+        self.assert_matches(fs, ft, disc, 3)
+
+    def test_features_that_need_no_gradient(self):
+        rng = np.random.default_rng(8)
+        disc = Discriminator(4, rng)
+        fs, ft = Tensor(rng.standard_normal((3, 4))), Tensor(rng.standard_normal((5, 4)))
+        grads = self.assert_matches(fs, ft, disc, 3)
+        assert grads[:2] == [None, None] and None not in grads[2:]
+
+    def test_two_backwards_accumulate(self):
+        rng = np.random.default_rng(9)
+        disc = Discriminator(4, rng)
+        fs = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        ft = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
+        once = self.assert_matches(fs, ft, disc, 3)
+        twice = self.assert_matches(fs, ft, disc, 3, backwards=2)
+        for a, b in zip(once, twice):
+            assert np.array_equal(2 * np.frombuffer(a), np.frombuffer(b))
+
+    def test_discriminator_keeps_the_cdf_and_the_probabilities(self):
+        rng = np.random.default_rng(10)
+        disc = Discriminator(4, rng)
+        feat = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        p = disc.forward(feat)
+        node, = T.tape().nodes
+        with T.no_grad():
+            hidden = T.linear(feat, disc.w1, disc.b1).data
+            gelu = T.gelu(T.Tensor(hidden)).data
+            logits = T.linear(T.Tensor(gelu), disc.w2, disc.b2).data
+        kept = closure_arrays(node.backward_fn)
+        assert sorted(a.shape for a in kept) == [(3, 1), (3, 16)]
+        cdf = T._gelu_cdf(hidden, np.empty(hidden.shape))
+        assert any(np.array_equal(a, cdf) for a in kept)
+        assert any(np.shares_memory(a, p.data) for a in kept)
+        for a in kept:
+            for forward in (hidden, gelu, logits):
+                assert not np.array_equal(a, forward)

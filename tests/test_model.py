@@ -11,8 +11,8 @@ from samb.errors import ConfigError, ContractError, DegenerateMaskError, Numeric
 from samb.model import ModelConfig, VitSamb, fusion_head, mlp_branch
 
 from helpers import (closure_arrays, finite_diff_grad, rel_err, unfused_attention_branch,
-                     unfused_embed, unfused_fusion_head, unfused_layer_norm, unfused_mlp_branch,
-                     unfused_normalize, unpruned_forward, use_lanes)
+                     unfused_embed, unfused_fusion_head, unfused_layer_norm, unfused_mlp,
+                     unfused_mlp_branch, unfused_normalize, unpruned_forward, use_lanes)
 
 
 @pytest.fixture(autouse=True)
@@ -299,7 +299,7 @@ class TestBranchNodes:
         node, composed = node_and_composition(
             [lambda: (mlp_branch(*inputs),), lambda: (unfused_mlp_branch(*inputs),)],
             inputs, c, split)
-        assert (node[0], composed[0]) == (1, 3)
+        assert (node[0], composed[0]) == (1, 5)
         for got, want in zip(node[1:], composed[1:]):
             assert np.array_equal(got, want)
 
@@ -402,7 +402,7 @@ class TestBranchNodes:
             h = T.layer_norm(x, gamma, beta)
             hidden = T.linear(h, w1, b1)
             gelu = T.gelu(hidden).data
-            branch = T.mlp(h, w1, b1, w2, b2).data
+            branch = unfused_mlp(h, w1, b1, w2, b2).data
         kept = closure_arrays(node.backward_fn)
         for a in kept:
             for forward in (unfused_normalize(x.data)[0], h.data, hidden.data, gelu, branch,

@@ -2,8 +2,10 @@
 
 import ast
 import importlib.util
+import inspect
 import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -102,16 +104,53 @@ def load_perfbench(monkeypatch, name: str) -> types.ModuleType:
     return module
 
 
+def tracer_wiring(tracer) -> list[tuple[str, str]]:
+    """The (owner, attribute) pairs that perfbench/tracer.py looks up."""
+    names = [("samb.tensor", attr) for attr in
+             (*tracer.TENSOR_OPS, "clear_tape", "tape", "start_flop_count",
+              "stop_flop_count")]
+    return names + [(owner, attr) for owner, attr, _ in tracer.SPANS + tracer.GENERATORS]
+
+
 def test_benchmark_tracer_wiring_resolves(monkeypatch):
     # perfbench/tracer.py wraps these samb attributes by name; a deletion or
     # rename that would break the benchmark fails here first
     tracer = load_perfbench(monkeypatch, "tracer")
-    names = [("samb.tensor", attr) for attr in
-             (*tracer.TENSOR_OPS, "clear_tape", "tape", "start_flop_count",
-              "stop_flop_count")]
-    names += [(owner, attr) for owner, attr, _ in tracer.SPANS + tracer.GENERATORS]
-    for owner, attr in names:
+    for owner, attr in tracer_wiring(tracer):
         tracer._lookup(owner, attr)
+
+
+def name_counts(tree: ast.AST) -> Counter:
+    """How often ``tree`` reads each name or attribute name, or imports it."""
+    return Counter(node.id if isinstance(node, ast.Name)
+                   else node.attr if isinstance(node, ast.Attribute)
+                   else node.asname or node.name
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute, ast.alias)))
+
+
+def test_every_public_tensor_function_has_a_caller(monkeypatch):
+    # an op whose last caller goes is deleted with it: a public function of
+    # samb.tensor is read by the package outside its own definition, by the
+    # acceptance test, or by the benchmark's tracer
+    import samb.tensor as T
+    public = {name for name, fn in vars(T).items()
+              if inspect.isfunction(fn) and fn.__module__ == T.__name__
+              and not name.startswith("_")}
+    assert {"add", "softmax", "backward"} <= public
+    uses = Counter()
+    for path in sorted(Path(samb.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        uses += name_counts(tree)
+        if path.name == "tensor.py":
+            for fn in tree.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name in public:
+                    uses[fn.name] -= name_counts(fn)[fn.name]      # its own recursion
+    acceptance = Path(__file__).with_name("test_acceptance.py")
+    uses += name_counts(ast.parse(acceptance.read_text(), filename=str(acceptance)))
+    uses.update(attr for owner, attr in tracer_wiring(load_perfbench(monkeypatch, "tracer"))
+                if owner == "samb.tensor")
+    assert sorted(name for name in public if uses[name] <= 0) == []
 
 
 def trace_tiny_train(monkeypatch, tmp_path, name: str, **tiny):

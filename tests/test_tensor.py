@@ -20,7 +20,7 @@ from samb.errors import (ContractError, DegenerateMaskError, DimensionError,
                          FormatError)
 from samb.tensor import Tensor
 
-from helpers import check_grad, unfused_layer_norm, unfused_mlp, use_lanes
+from helpers import check_grad, mlp_node, unfused_layer_norm, unfused_mlp, use_lanes
 
 
 @pytest.fixture(autouse=True)
@@ -237,8 +237,9 @@ def output_and_grads(op, inputs, c, backwards=1):
 
 
 class TestFusedLayerNormAndMlp:
-    """The in-place layer norm and the one-node MLP against the expressions
-    and nodes they replace, bit for bit."""
+    """The in-place layer norm and the MLP body that ``mlp_branch`` and the
+    discriminator share (``mlp_node``) against the expressions and nodes
+    they replace, bit for bit."""
 
     @staticmethod
     def layer_norm_inputs(shape):
@@ -265,7 +266,7 @@ class TestFusedLayerNormAndMlp:
     @pytest.mark.parametrize("shape", FUSED_SHAPES)
     def test_mlp_bit_identical_to_three_nodes(self, shape):
         inputs, c = self.mlp_inputs(shape)
-        fused = output_and_grads(T.mlp, inputs, c)
+        fused = output_and_grads(mlp_node, inputs, c)
         assert len(T.tape().nodes) == 3          # mlp, mul and sum_all
         reference = output_and_grads(unfused_mlp, inputs, c)
         for a, b in zip(fused, reference):
@@ -278,7 +279,7 @@ class TestFusedLayerNormAndMlp:
         use_lanes(monkeypatch, lanes)
         assert len(T._sequence_pieces(np.empty((16, 260, 64)))) == 6
         inputs, c = self.mlp_inputs((16, 260, 16))
-        fused = output_and_grads(T.mlp, inputs, c)
+        fused = output_and_grads(mlp_node, inputs, c)
         reference = output_and_grads(unfused_mlp, inputs, c)
         for a, b in zip(fused, reference):
             assert np.array_equal(a, b)
@@ -288,42 +289,48 @@ class TestFusedLayerNormAndMlp:
         # a backward that wrote into what its node saved would change the
         # second pass
         inputs, c = getattr(self, f"{op}_inputs")((4, 5, 8))
-        once = output_and_grads(getattr(T, op), inputs, c)[1:]
-        twice = output_and_grads(getattr(T, op), inputs, c, backwards=2)[1:]
+        node = T.layer_norm if op == "layer_norm" else mlp_node
+        once = output_and_grads(node, inputs, c)[1:]
+        twice = output_and_grads(node, inputs, c, backwards=2)[1:]
         for a, b in zip(once, twice):
             assert np.array_equal(2 * a, b)
 
-    @pytest.mark.parametrize("op", ["mlp", "gelu"])
-    def test_two_lanes_match_one_lane_bit_for_bit(self, monkeypatch, op):
-        # a [8, 260, 64] GELU activation, the 64 px block-0 one of one domain,
-        # is cut into three pieces of whole sequences, which the lanes share
+    def test_two_lanes_match_one_lane_bit_for_bit(self, monkeypatch):
+        # the hidden [8, 260, 64] activation, the 64 px block-0 one of one
+        # domain, is cut into three pieces of whole sequences, which the
+        # lanes share
         assert len(T._sequence_pieces(np.empty((8, 260, 64)))) == 3
-        if op == "mlp":
-            inputs, c = self.mlp_inputs((8, 260, 16))
-        else:
-            rng = np.random.default_rng(27)
-            inputs, c = [leaf(rng, 8, 260, 64)], Tensor(rng.standard_normal((8, 260, 64)))
+        inputs, c = self.mlp_inputs((8, 260, 16))
         results, kept = [], []
         for lanes in (1, 2):
             use_lanes(monkeypatch, lanes)
-            results.append(output_and_grads(getattr(T, op), inputs, c))
+            results.append(output_and_grads(mlp_node, inputs, c))
             # the next run must not get this run's freed buffers, which hold
             # the very values a skipped element would fail to write
             kept.append(list(T.tape().nodes))
         for one, two in zip(*results):
             assert np.array_equal(one, two)
-        if op == "gelu":                         # both against the plain expressions
-            x, g = inputs[0].data, c.data
-            cdf = 0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
-            pdf = np.exp(x * -0.5 * x) * (1.0 / np.sqrt(2.0 * np.pi))
-            assert np.array_equal(results[1][0], x * cdf)
-            assert np.array_equal(results[1][1], (pdf * x + cdf) * g)
+
+    def test_gelu_is_the_plain_expressions_on_one_lane(self, monkeypatch):
+        # T.gelu is the oracles' GELU: one elementwise piece, on the caller
+        def no_lanes(fn, n, reverse=False):
+            raise AssertionError("gelu handed work to the lanes")
+
+        monkeypatch.setattr(T, "run_lanes", no_lanes)
+        rng = np.random.default_rng(27)
+        inputs, c = [leaf(rng, 8, 260, 64)], Tensor(rng.standard_normal((8, 260, 64)))
+        out, grad = output_and_grads(T.gelu, inputs, c)
+        x, g = inputs[0].data, c.data
+        cdf = 0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
+        pdf = np.exp(x * -0.5 * x) * (1.0 / np.sqrt(2.0 * np.pi))
+        assert np.array_equal(out, x * cdf)
+        assert np.array_equal(grad, (pdf * x + cdf) * g)
 
     def test_mlp_weight_mismatch(self):
         rng = np.random.default_rng(13)
         x, w1, b1, w2 = leaf(rng, 2, 4), leaf(rng, 4, 8), leaf(rng, 8), leaf(rng, 8, 4)
         with pytest.raises(DimensionError, match="mlp"):
-            T.mlp(x, w1, b1, w2, leaf(rng, 3))
+            mlp_node(x, w1, b1, w2, leaf(rng, 3))
 
 
 class TestRunLanes:
@@ -525,7 +532,7 @@ class TestBatchSplit:
 
     OPS = {
         "linear": lambda x, p: T.linear(x, p["w"], p["b"]),
-        "mlp": lambda x, p: T.mlp(x, p["w"], p["b"], p["w2"], p["b2"]),
+        "mlp": lambda x, p: mlp_node(x, p["w"], p["b"], p["w2"], p["b2"]),
         "layer_norm": lambda x, p: T.layer_norm(x, p["g"], p["b"]),
         "broadcast_add": lambda x, p: x + p["pos"],
         "broadcast_to": lambda x, p: x + T.broadcast_to(p["b"], x.shape),

@@ -198,11 +198,12 @@ class TestDeterminism:
 
 
 class TestTape:
-    @pytest.mark.parametrize("kind, nodes", [("ada", 30), ("joint", 32)])
+    @pytest.mark.parametrize("kind, nodes", [("ada", 18), ("joint", 20)])
     def test_desk_step_records_its_nodes(self, kind, nodes):
         # the README model: per forward one embedding node, two nodes per
         # block (attention and MLP branch), the final layer norm and one
-        # fusion-head node
+        # fusion-head node; per domain a narrow, the classifier head, a grl
+        # and a discriminator node; one domain-loss node
         splits = generate(SyntheticSpec(num_classes=4, train_per_class=8,
                                         eval_per_class=2, image_size=16, seed=3))
         model = ModelConfig(embed_dim=16, depth=2, heads=2, num_group_tokens=4,
