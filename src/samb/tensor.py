@@ -15,13 +15,11 @@ value; it flows through ``softmax`` as exact zero probability.
 Wide kernels share their work between two lanes (``run_lanes``): the
 calling thread and one helper thread that runs numpy and scipy only, which
 release the interpreter lock.  Lane ``l`` runs every second item from ``l``
-on, a fixed stride, so which lane runs an item never depends on timing;
-while OpenBLAS runs threads of its own, lane 0 runs every item
-(``_usable_cpus``).  This module is the package's one owner of
-process-wide policy: the threads, and glibc's heap policy
-(``_keep_freed_memory``).  The GELU's
-``erf`` is scipy's compiled ufunc, loaded without ``scipy.special``
-(``_load_erf``).
+on, a fixed stride, so which lane runs an item never depends on timing.
+This module is the package's one owner of process-wide policy: the
+threads, with numpy's OpenBLAS on one thread (``_one_blas_thread``), and
+glibc's heap policy (``_keep_freed_memory``).  The GELU's ``erf`` is
+scipy's compiled ufunc, loaded without ``scipy.special`` (``_load_erf``).
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ import concurrent.futures
 import contextlib
 import contextvars
 import ctypes
-import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -53,7 +50,7 @@ _CHUNK_ELEMS = 1 << 17
 
 
 # ---------------------------------------------------------------------------
-# heap policy
+# process policy
 
 def _keep_freed_memory() -> None:
     """Have glibc keep freed blocks for reuse instead of returning them.
@@ -78,7 +75,39 @@ def _keep_freed_memory() -> None:
     mallopt(-1, 256 << 20)              # M_TRIM_THRESHOLD: 256 MiB
 
 
+def _one_blas_thread() -> None:
+    """Set the OpenBLAS this process has mapped (numpy's bundled library) to
+    one thread, whatever ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` say.
+
+    More threads change the bits and contend with the lanes: on 2 threads,
+    a 64 px samb or samb-d run (README model, B = 8, 6 + 6
+    ``ada-then-joint`` iterations) wrote other parameters than on one, and
+    a 40-iteration 64 px samb ``ada`` ``samb train`` took 2.59-3.15 s
+    against 1.83-2.40 s (four alternations, 2-vCPU x86_64 guest).  The
+    setter is found through the libraries in ``/proc/self/maps``; without
+    them or the symbol this does nothing.
+    """
+    try:
+        with open("/proc/self/maps") as f:
+            libs = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+    except OSError:                             # no /proc on this platform
+        return
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_set_num_threads64_",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads"):
+            setter = getattr(handle, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = (ctypes.c_int,), None
+                setter(1)
+                return
+
+
 _keep_freed_memory()
+_one_blas_thread()
 
 
 def _load_erf() -> np.ufunc:
@@ -120,56 +149,8 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=lambda: _LANE1.__setitem__(0, None))
 
 
-@functools.cache
-def _find_blas_threads() -> Callable[[], Optional[int]]:
-    """The thread-count query of the OpenBLAS this process has mapped (numpy's
-    bundled library), found on first use as ``perfbench/worker.py``'s
-    ``blas_threads`` finds it; where there is none, a query that answers
-    None.
-
-    Where neither ``OPENBLAS_NUM_THREADS`` nor ``OMP_NUM_THREADS`` is set, it
-    first sets the library to one thread through the matching setter, if it
-    has one: BLAS's own threads contend with the lanes, and a 12 + 12-iteration
-    64 px samb ``samb train`` at B = 8 took a median 1.73 s with OpenBLAS's
-    default of 2 threads and 1.37 s with one (2-vCPU x86_64 guest, six
-    alternating pairs).  A count set in the environment stays.
-    """
-    try:
-        with open("/proc/self/maps") as f:
-            libs = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
-    except OSError:                             # no /proc on this platform
-        libs = []
-    for lib in libs:
-        try:
-            handle = ctypes.CDLL(lib)
-        except OSError:
-            continue
-        for name in ("scipy_openblas_get_num_threads64_",
-                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
-            query = getattr(handle, name, None)
-            if query is not None:
-                query.argtypes, query.restype = (), ctypes.c_int
-                setter = getattr(handle, name.replace("_get_", "_set_"), None)
-                if setter is not None and not {"OPENBLAS_NUM_THREADS",
-                                               "OMP_NUM_THREADS"} & os.environ.keys():
-                    setter.argtypes, setter.restype = (ctypes.c_int,), None
-                    setter(1)
-                return query
-    return lambda: None
-
-
-def _blas_threads() -> Optional[int]:
-    return _find_blas_threads()()
-
-
 def _usable_cpus() -> int:
-    """The CPUs the lanes may use: those this process may run on, or one
-    while OpenBLAS runs threads of its own, which the helper lane would
-    contend with.  With 2 OpenBLAS threads on a 2-vCPU x86_64 guest, a
-    12 + 12-iteration 64 px samb ``samb train`` at B = 8 took a median
-    2.07 s on two lanes and 1.73 s on one (six alternating pairs)."""
-    if (_blas_threads() or 1) > 1:
-        return 1
+    """The CPUs the lanes may use: those this process may run on."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:                      # no affinity on this platform
@@ -180,11 +161,11 @@ def run_lanes(fn: Callable[[int, int], None], n: int, reverse: bool = False) -> 
     """Call ``fn(lane, i)`` once for every ``i`` in ``range(n)``.
 
     Lane 0 is the calling thread; lane 1 is one helper thread, made on first
-    use and reused.  With at least 2 items and 2 usable CPUs (one while BLAS
-    is threaded, ``_usable_cpus``), lane ``l`` runs items ``l, l+2, ...``;
-    otherwise lane 0 runs them all.  Each lane
-    runs its items in increasing order, or decreasing with ``reverse``, so a
-    reversed call starts each lane on the last item it ran in a forward one.
+    use and reused.  With at least 2 items and 2 usable CPUs
+    (``_usable_cpus``), lane ``l`` runs items ``l, l+2, ...``; otherwise
+    lane 0 runs them all.  Each lane runs its items in increasing order, or
+    decreasing with ``reverse``, so a reversed call starts each lane on the
+    last item it ran in a forward one.
     ``fn`` must run numpy only when lane 1 calls it: tape, spans and the FLOP
     count belong to the calling thread.  Lane 1 runs in a copy of the
     caller's context, so the caller's ``np.errstate`` holds there too.

@@ -205,7 +205,7 @@ class Trainer:
         """Weighted k-means + one refinement over the full target train set;
         records no tape."""
         logits, feats = _infer(self.model, self.target_train, self.cfg.batch_size)
-        probs = T.softmax(T.Tensor(logits), axis=1).data
+        probs = T._softmax(logits, 1)
         table = build_table(feats, probs)
         if len(np.unique(table.labels)) == 1:
             print("warning: degenerate pseudo-labels (single class)", file=sys.stderr)

@@ -1,5 +1,6 @@
 """Shared numeric oracles for the test suite."""
 
+import ctypes
 import threading
 
 import numpy as np
@@ -33,6 +34,26 @@ def _both_lanes(fn, n, reverse=False):
         fn(lane, i)
 
     _RUN_LANES(item, n, reverse)
+
+
+def blas_threads():
+    """The thread count the OpenBLAS this process has mapped (numpy's bundled
+    library) reports, or None without ``/proc/self/maps``, the library or
+    its query."""
+    try:
+        with open("/proc/self/maps") as f:
+            libs = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        for name in ("scipy_openblas_get_num_threads64_",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            query = getattr(handle, name, None)
+            if query is not None:
+                query.argtypes, query.restype = (), ctypes.c_int
+                return query()
+    return None
 
 
 def finite_diff_grad(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:

@@ -422,30 +422,33 @@ class TestTrain:
                      "--out", str(tmp_path / "o")]) == 2
 
     def test_unset_blas_thread_count_trains_on_one_thread(self, tmp_path):
-        # with neither OPENBLAS_NUM_THREADS nor OMP_NUM_THREADS set, samb's
-        # first query (block 0's attention on the lanes, at 64 px) sets numpy's
-        # OpenBLAS to one thread; the checkpoint is that of a one-thread run
+        # samb sets numpy's OpenBLAS to one thread whatever the environment
+        # asks for; at 64 px with d = 16 a run on 2 BLAS threads would write
+        # other parameters than a run on one
         spec = tmp_path / "spec.cfg"
         spec.write_text(SPEC_TEXT.replace("image_size = 8", "image_size = 64"))
         assert main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "data")]) == 0
-        cfg = write_train_cfg(tmp_path / "t.cfg", tmp_path / "data", depth=2)
-        code = ("import sys, samb.cli, samb.tensor as T\n"
+        cfg = write_train_cfg(tmp_path / "t.cfg", tmp_path / "data", embed_dim=16, depth=2)
+        code = ("import sys, samb.cli\n"
+                "from helpers import blas_threads\n"
                 "code = samb.cli.main(sys.argv[1:])\n"
-                "print(code, T._blas_threads())\n")
-        src = os.path.dirname(os.path.dirname(samb.cli.__file__))
+                "print(code, blas_threads())\n")
         env = {k: v for k, v in os.environ.items()
                if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-        seen = []
-        for name, threads in (("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        settings = {"one": {"OPENBLAS_NUM_THREADS": "1"}, "two": {"OPENBLAS_NUM_THREADS": "2"},
+                    "omp": {"OMP_NUM_THREADS": "2"}, "unset": {}}
+        seen, outputs = [], set()
+        for name, threads in settings.items():
             proc = subprocess.run([sys.executable, "-c", code, "train", "--config", str(cfg),
                                    "--out", str(tmp_path / name)],
                                   env=dict(env, **threads), capture_output=True, text=True,
                                   timeout=120, check=True)
             seen.append(proc.stdout.split("\n")[-2])
-        assert seen in (["0 1", "0 1"], ["0 None", "0 None"])
-        assert ((tmp_path / "unset" / "checkpoint_stage1.samb").read_bytes()
-                == (tmp_path / "one" / "checkpoint_stage1.samb").read_bytes())
+            outputs.add(tuple((tmp_path / name / f).read_bytes()
+                              for f in ("checkpoint_stage1.samb", "metrics.csv")))
+        assert seen in (["0 1"] * 4, ["0 None"] * 4)
+        assert len(outputs) == 1
 
     def test_bad_scheme_exit_2(self, data_dir, tmp_path):
         cfg = write_train_cfg(tmp_path / "t.cfg", data_dir)

@@ -93,6 +93,24 @@ def test_only_the_tensor_module_imports_threads():
     assert importers == {"tensor.py"}
 
 
+def test_no_module_reads_the_environment():
+    # a run's outputs depend on its config and its data only
+    readers = {"environ", "environb", "getenv"}
+    sources = sorted(Path(samb.__file__).parent.glob("*.py"))
+    found = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if readers & set(names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def load_perfbench(monkeypatch, name: str) -> types.ModuleType:
     """``perfbench/<name>.py`` as a module, without writing bytecode there."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"

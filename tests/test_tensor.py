@@ -1,5 +1,6 @@
 import gc
 import importlib.machinery
+import io
 import math
 import multiprocessing
 import os
@@ -411,28 +412,11 @@ class TestRunLanes:
         assert not any(t.is_alive() for t in threads)
         assert errors == []
 
-    @pytest.mark.parametrize("threads", [2, 4])
-    def test_threaded_blas_keeps_every_item_on_the_calling_thread(self, monkeypatch,
-                                                                 threads):
-        # BLAS threads of its own would contend with the helper lane
-        monkeypatch.setattr(T, "_blas_threads", lambda: threads)
-        monkeypatch.setattr(T, "_LANE1", [None])
-        seen = []
-        T.run_lanes(lambda lane, i: seen.append((lane, threading.get_ident())), 6)
-        assert seen == [(0, threading.get_ident())] * 6
-        assert T._usable_cpus() == 1 and T._LANE1 == [None]
-
-    @pytest.mark.parametrize("threads", [1, None], ids=["one", "unknown"])
-    def test_one_or_unknown_blas_thread_leaves_the_cpus_to_the_lanes(self, monkeypatch,
-                                                                     threads):
-        monkeypatch.setattr(T, "_blas_threads", lambda: threads)
-        assert T._usable_cpus() == len(os.sched_getaffinity(0))
-
     def test_blas_threads_are_read_from_numpys_openblas(self):
-        # where the query exists, it reports the count the environment sets
-        # (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS); with neither set, the
-        # first query sets one thread, where OpenBLAS would start one per CPU
-        code = "import samb.tensor as T; print(T._blas_threads())"
+        # importing samb.tensor sets numpy's OpenBLAS to one thread, whatever
+        # count the environment asks for; without the query, it is missing
+        # under every setting
+        code = "import samb.tensor\nfrom helpers import blas_threads\nprint(blas_threads())"
         env = {k: v for k, v in os.environ.items()
                if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
         env["PYTHONPATH"] = os.pathsep.join(sys.path)
@@ -440,14 +424,25 @@ class TestRunLanes:
                                check=True, capture_output=True, text=True).stdout.strip()
                 for threads in ({"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"},
                                 {"OMP_NUM_THREADS": "2"}, {})]
-        assert seen in (["1", "2", "2", "1"], ["None"] * 4)
+        assert seen in (["1"] * 4, ["None"] * 4)
 
     def test_no_proc_maps_means_no_query(self, monkeypatch):
         def no_file(*args, **kwargs):
             raise FileNotFoundError("/proc/self/maps")
 
+        loaded = []
         monkeypatch.setattr("builtins.open", no_file)
-        assert T._find_blas_threads.__wrapped__()() is None
+        monkeypatch.setattr(T.ctypes, "CDLL", lambda *args: loaded.append(args))
+        assert T._one_blas_thread() is None
+        assert loaded == []
+
+    def test_a_library_without_a_setter_is_left_alone(self, monkeypatch):
+        maps = "7f00-7f01 r-xp 0 08:01 1 /lib/libopenblas.so\n"
+        loaded = []
+        monkeypatch.setattr("builtins.open", lambda *args, **kwargs: io.StringIO(maps))
+        monkeypatch.setattr(T.ctypes, "CDLL", lambda lib: loaded.append(lib) or object())
+        assert T._one_blas_thread() is None
+        assert loaded == ["/lib/libopenblas.so"]
 
     def test_the_helper_lane_keeps_the_callers_errstate(self, monkeypatch):
         # each lane overflows once; under the caller's errstate neither warns
