@@ -9,6 +9,7 @@ import struct
 import subprocess
 import sys
 import threading
+import types
 import warnings
 import weakref
 
@@ -443,6 +444,48 @@ class TestRunLanes:
         monkeypatch.setattr(T.ctypes, "CDLL", lambda lib: loaded.append(lib) or object())
         assert T._one_blas_thread() is None
         assert loaded == ["/lib/libopenblas.so"]
+
+    @pytest.mark.parametrize("symbols, chosen", [
+        (["openblas_set_num_threads"], "openblas_set_num_threads"),
+        (["openblas_set_num_threads64_", "openblas_set_num_threads"],
+         "openblas_set_num_threads64_"),
+        (["scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+          "openblas_set_num_threads"], "scipy_openblas_set_num_threads64_"),
+    ], ids=["plain", "64", "scipy"])
+    def test_the_first_setter_found_sets_one_thread(self, monkeypatch, symbols, chosen):
+        # a library that will not load is passed over; of the setters the
+        # next one offers, only the first in samb's order is called, once, with 1
+        maps = ("7f00-7f01 r-xp 0 08:01 1 /lib/a/libopenblas.so\n"
+                "7f02-7f03 r-xp 0 08:01 2 /lib/b/libopenblas.so\n")
+        calls = []
+
+        def setter(name):
+            def call(threads):
+                calls.append((name, threads))
+            return call
+
+        def load(lib):
+            if lib == "/lib/a/libopenblas.so":
+                raise OSError(lib)
+            return types.SimpleNamespace(**{name: setter(name) for name in symbols})
+
+        monkeypatch.setattr("builtins.open", lambda *args, **kwargs: io.StringIO(maps))
+        monkeypatch.setattr(T.ctypes, "CDLL", load)
+        assert T._one_blas_thread() is None
+        assert calls == [(chosen, 1)]
+
+    def test_the_lanes_use_every_cpu_of_the_affinity_mask(self, monkeypatch):
+        # no BLAS or thread variable narrows them; taskset does, through the mask
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+        monkeypatch.setenv("OMP_NUM_THREADS", "4")
+        monkeypatch.setattr(T.os, "sched_getaffinity", lambda pid: {0, 2, 5})
+        assert T._usable_cpus() == 3
+
+    @pytest.mark.parametrize("cpus, usable", [(3, 3), (None, 1)])
+    def test_without_affinity_the_lanes_count_the_cpus(self, monkeypatch, cpus, usable):
+        monkeypatch.delattr(T.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(T.os, "cpu_count", lambda: cpus)
+        assert T._usable_cpus() == usable
 
     def test_the_helper_lane_keeps_the_callers_errstate(self, monkeypatch):
         # each lane overflows once; under the caller's errstate neither warns
